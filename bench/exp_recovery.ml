@@ -82,7 +82,7 @@ let build_store ~depth ~w =
   let config =
     {
       Engine.default_config with
-      Engine.durability = Some (Engine.durability ~dir ());
+      Engine.durability = Some (Datalog.Store.durability ~dir ());
     }
   in
   let db = Engine.materialize ~config tc_program (Database.of_facts (chain depth)) in

@@ -1315,7 +1315,7 @@ let health_cmd =
 (* ------------------------------------------------------------------ *)
 (* checkpoint / recover / wal-status: the durability surface over the
    demo federation. The store directory comes from --dir or the
-   KIND_DURABLE_DIR environment variable. *)
+   KIND_DURABLE_DIR environment variable ({!Datalog.Store.resolve}). *)
 
 let dir_t =
   Arg.(
@@ -1325,6 +1325,8 @@ let dir_t =
         ~doc:
           "durability directory (checkpoint, write-ahead log and \
            federation state). Defaults to $(b,KIND_DURABLE_DIR).")
+
+let store_of dir = Option.map (fun dir -> Datalog.Store.durability ~dir ()) dir
 
 let demo_scale = Arg.(value & opt int 20 & info [ "scale" ] ~docv:"N" ~doc:"rows per class")
 let demo_seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N")
@@ -1343,14 +1345,11 @@ let checkpoint_cmd =
             Mediation.Mediator.default_config with
             Mediation.Mediator.dl_mode = Dl.Translate.Ic;
             inheritance = false;
-            durability =
-              Option.map
-                (fun dir -> Datalog.Engine.durability ~dir ())
-                dir;
+            durability = store_of dir;
           }
         { Neuro.Sources.seed; scale }
     in
-    match Mediation.Mediator.checkpoint ?dir med with
+    match Mediation.Mediator.checkpoint med with
     | Error e ->
       prerr_endline e;
       1
@@ -1400,10 +1399,11 @@ let recover_cmd =
             Mediation.Mediator.default_config with
             Mediation.Mediator.dl_mode = Dl.Translate.Ic;
             inheritance = false;
+            durability = store_of dir;
           }
         { Neuro.Sources.seed; scale }
     in
-    match Mediation.Mediator.recover ?dir med with
+    match Mediation.Mediator.recover med with
     | Error e ->
       prerr_endline e;
       1
@@ -1432,37 +1432,26 @@ let recover_cmd =
 
 let wal_status_cmd =
   let run () dir =
-    let dir =
-      match dir with
-      | Some d -> Some d
-      | None -> (
-        match Sys.getenv_opt "KIND_DURABLE_DIR" with
-        | Some d when d <> "" -> Some d
-        | _ -> None)
-    in
-    match dir with
+    match Datalog.Store.resolve (store_of dir) with
     | None ->
       prerr_endline "wal-status: pass --dir or set KIND_DURABLE_DIR";
       1
-    | Some dir ->
-      let fs = Codec.real_fs ~root:dir in
-      let ckpt = Datalog.Engine.checkpoint_file in
-      let wal = Datalog.Engine.wal_file in
+    | Some d ->
+      let fs = d.Datalog.Store.fs in
+      let ckpt = Datalog.Store.checkpoint_file in
+      let wal = Datalog.Store.wal_file in
       let ckpt_gen = ref None in
       (match Datalog.Snapshot.read fs ~path:ckpt with
       | Error e -> Printf.printf "checkpoint: unreadable (%s)\n" e
       | Ok None -> print_endline "checkpoint: absent"
       | Ok (Some snap) ->
-        (match
-           List.assoc_opt "generation" snap.Datalog.Snapshot.counters
-         with
-        | Some g -> ckpt_gen := Some (int_of_float g)
-        | None -> ());
+        let gen = Datalog.Store.generation snap in
+        ckpt_gen := Some gen;
         Printf.printf "checkpoint: %d bytes, %d facts (%d base), generation %d\n"
           (fs.Codec.size ckpt)
           (Datalog.Database.cardinal snap.Datalog.Snapshot.db)
           (Datalog.Database.cardinal snap.Datalog.Snapshot.edb)
-          (match !ckpt_gen with Some g -> g | None -> 0));
+          gen);
       (match Datalog.Wal.replay fs ~path:wal with
       | Error e -> Printf.printf "wal: unreadable (%s)\n" e
       | Ok (gen, entries, tail) ->

@@ -3,7 +3,7 @@
    incrementally instead of re-materializing.
 
    Demonstrates: Protocol (the XML dialogues of Section 2),
-   Mediator.register_xml, Datalog.Engine.extend, and the semantic index
+   Mediator.register_xml, Datalog.Maintain, and the semantic index
    updating as the federation grows.
 
    Run with: dune exec examples/live_registration.exe *)
@@ -82,7 +82,12 @@ let () =
     | Ok p -> p
     | Error e -> failwith e
   in
-  let db = Datalog.Engine.materialize compiled (Datalog.Database.create ()) in
+  let h =
+    match Datalog.Maintain.init compiled (Datalog.Database.create ()) with
+    | Ok h -> h
+    | Error e -> failwith e
+  in
+  let db = Datalog.Maintain.db h in
   Format.printf "standing closure: %d facts@." (Datalog.Database.cardinal db);
   let stream =
     [ ("obs2", "spine"); ("obs3", "dendrite"); ("obs4", "soma"); ("obs5", "spine") ]
@@ -90,10 +95,13 @@ let () =
   List.iter
     (fun (o, site) ->
       match
-        Datalog.Engine.extend compiled db
-          [ Logic.Atom.make "obs_at" [ t o; t site ] ]
+        Datalog.Maintain.apply h
+          (Datalog.Maintain.delta
+             ~additions:[ Logic.Atom.make "obs_at" [ t o; t site ] ] ())
       with
-      | Ok n -> Format.printf "  %s@%s absorbed: %d new facts@." o site n
+      | Ok r ->
+        Format.printf "  %s@%s absorbed: %d new facts@." o site
+          r.Datalog.Maintain.added
       | Error e -> failwith e)
     stream;
   let seen_under c =

@@ -8,13 +8,10 @@ type cost_oracle = {
   estimate : string -> int option;
 }
 
-type durability = { fs : Codec.fs; wal_max_bytes : int }
+type durability = Store.durability = { fs : Codec.fs; wal_max_bytes : int }
 
-let checkpoint_file = "checkpoint.kind"
-let wal_file = "wal.kind"
-
-let durability ?(wal_max_bytes = 1_000_000) ~dir () =
-  { fs = Codec.real_fs ~root:dir; wal_max_bytes }
+let checkpoint_file = Store.checkpoint_file
+let wal_file = Store.wal_file
 
 type config = {
   strategy : strategy;
@@ -42,20 +39,6 @@ let default_config =
     domains = 0;
     durability = None;
   }
-
-(* KIND_DURABLE_DIR makes every stratified materialization checkpoint
-   and every maintenance batch write-ahead-log into the named directory
-   — how `dune runtest` exercises durability without per-test wiring. *)
-let env_durability =
-  lazy
-    (match Sys.getenv_opt "KIND_DURABLE_DIR" with
-    | None | Some "" -> None
-    | Some dir -> Some (durability ~dir ()))
-
-let effective_durability config =
-  match config.durability with
-  | Some d -> Some d
-  | None -> Lazy.force env_durability
 
 let effective_domains config =
   if config.domains > 0 then min config.domains 64 else Pool.env_domains ()
@@ -154,7 +137,7 @@ let run_stratum config ?pool stats rules db =
 let materialize ?(config = default_config) ?report p edb =
   let stats = Eval.new_stats () in
   let pool = pool_of config in
-  let durable = effective_durability config in
+  let durable = Store.resolve config.durability in
   let facts, p = Program.split_facts p in
   let db = Database.copy edb in
   List.iter (fun f -> ignore (Database.add_fact db f)) facts;
@@ -235,30 +218,18 @@ let materialize ?(config = default_config) ?report p edb =
         match (durable, base) with
         | Some d, Some base ->
           let t0 = Unix.gettimeofday () in
-          (* the checkpoint and the log reset that follows carry a
-             fresh generation: a crash between the two leaves the old
-             log stamped with the old generation, which recovery
-             detects and discards instead of replaying stale deltas
-             over a materialization they never touched *)
-          let gen = Wal.generation d.fs ~path:wal_file + 1 in
           ignore
-            (Snapshot.write d.fs ~path:checkpoint_file
-               {
-                 Snapshot.db;
-                 edb = base;
-                 counters =
-                   [
-                     ("generation", float_of_int gen);
-                     ("strata", float_of_int (List.length strata));
-                     ("rounds", float_of_int !rounds);
-                     ("derived", float_of_int !derived);
-                     ("skolems_suppressed", float_of_int !skolems);
-                   ];
-               });
-          (* a fresh checkpoint subsumes every logged batch *)
-          Wal.reset d.fs ~path:wal_file ~gen;
+            (Store.checkpoint d ~db ~edb:base
+               ~counters:
+                 [
+                   ("strata", float_of_int (List.length strata));
+                   ("rounds", float_of_int !rounds);
+                   ("derived", float_of_int !derived);
+                   ("skolems_suppressed", float_of_int !skolems);
+                 ]
+               ());
           ( (Unix.gettimeofday () -. t0) *. 1000.0,
-            d.fs.Codec.size wal_file )
+            d.fs.Codec.size Store.wal_file )
         | _ -> (0.0, 0)
       in
       fill_report ~checkpoint_ms ~wal_bytes ~stratified:true
@@ -288,134 +259,6 @@ let materialize ?(config = default_config) ?report p edb =
   | None -> eval ()
   | Some o -> Plan.with_oracle o.order eval
 
-(* derive through the join kernel selected by [config]. *)
-let config_derive config ?stats ~db ~neg ?focus r =
-  if config.compiled_plans then Plan.derive ?stats ~db ~neg ?focus r
-  else Eval.derive ?stats ~db ~neg ?focus r
-
-let extend ?(config = default_config) p db new_facts =
-  let nonmono =
-    List.exists
-      (fun r -> List.exists snd (Logic.Rule.body_predicates r))
-      (Program.rules p)
-  in
-  if nonmono then
-    Error
-      "Engine.extend: the program has negation/aggregation; incremental \
-       addition is not monotone — re-materialize instead"
-  else begin
-    let facts, p = Program.split_facts p in
-    ignore facts;
-    let rules = Program.rules p in
-    let added = ref 0 in
-    let delta0 = Database.create () in
-    List.iter
-      (fun f ->
-        if Database.add_fact db f then begin
-          incr added;
-          ignore (Database.add_fact delta0 f)
-        end)
-      new_facts;
-    let too_deep (a : Atom.t) =
-      List.exists
-        (fun t -> Logic.Term.depth t > config.max_term_depth)
-        a.Atom.args
-    in
-    let rec loop rounds delta =
-      if Database.cardinal delta = 0 then ()
-      else begin
-        if rounds >= config.max_rounds then
-          failwith "Engine.extend: max_rounds exceeded";
-        let next = Database.create () in
-        List.iter
-          (fun r ->
-            List.iter
-              (fun i ->
-                List.iter
-                  (fun a ->
-                    if (not (too_deep a)) && Database.add_fact db a then begin
-                      incr added;
-                      ignore (Database.add_fact next a)
-                    end)
-                  (config_derive config ~db ~neg:db ~focus:(i, delta) r))
-              (Eval.positive_positions r))
-          rules;
-        loop (rounds + 1) next
-      end
-    in
-    loop 0 delta0;
-    Ok !added
-  end
-
-let retract ?(config = default_config) p db facts_to_remove =
-  let nonmono =
-    List.exists
-      (fun r -> List.exists snd (Logic.Rule.body_predicates r))
-      (Program.rules p)
-  in
-  if nonmono then
-    Error
-      "Engine.retract: the program has negation/aggregation; DRed here \
-       supports only positive stratified programs — re-materialize instead"
-  else begin
-    let _, p = Program.split_facts p in
-    let rules = Program.rules p in
-    (* 1. over-delete: propagate deletion candidates through the rules
-       (body joins still run against the pre-deletion database). *)
-    let deleted = Database.create () in
-    let delta0 = Database.create () in
-    List.iter
-      (fun f ->
-        if Database.mem db f && Database.add_fact deleted f then
-          ignore (Database.add_fact delta0 f))
-      facts_to_remove;
-    let rec overdelete delta =
-      if Database.cardinal delta = 0 then ()
-      else begin
-        let next = Database.create () in
-        List.iter
-          (fun r ->
-            List.iter
-              (fun i ->
-                List.iter
-                  (fun a ->
-                    if Database.mem db a && not (Database.mem deleted a) then begin
-                      ignore (Database.add_fact deleted a);
-                      ignore (Database.add_fact next a)
-                    end)
-                  (config_derive config ~db ~neg:db ~focus:(i, delta) r))
-              (Eval.positive_positions r))
-          rules;
-        overdelete next
-      end
-    in
-    overdelete delta0;
-    (* 2. physically remove the over-deleted facts. *)
-    List.iter (fun f -> ignore (Database.remove_fact db f)) (Database.all_facts deleted);
-    (* 3. re-derive: candidates (excluding the explicitly retracted
-       facts) that still have a proof from the remaining database. *)
-    let explicitly_removed = Database.of_facts facts_to_remove in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun r ->
-          List.iter
-            (fun a ->
-              if
-                Database.mem deleted a
-                && (not (Database.mem explicitly_removed a))
-                && Database.add_fact db a
-              then changed := true)
-            (config_derive config ~db ~neg:db r))
-        rules
-    done;
-    let gone =
-      List.filter (fun f -> not (Database.mem db f)) (Database.all_facts deleted)
-    in
-    Ok (List.length gone)
-  end
-
 let maintain ?(config = default_config) ?report p db delta =
   let pool = pool_of config in
   match
@@ -424,63 +267,9 @@ let maintain ?(config = default_config) ?report p db delta =
   with
   | Error e -> Error e
   | Ok h -> (
-    let durable = effective_durability config in
-    (* Write-ahead: the batch frame is durable (fsync'd) before any of
-       it is applied, so a crash mid-maintenance recovers to either the
-       pre-batch state (append torn) or the post-batch state (append
-       complete, batch replayed). Only a batch [apply] will accept is
-       logged — a non-ground fact fails validation without mutating,
-       and must not poison recovery. *)
-    let wal =
-      match durable with
-      | Some d
-        when List.for_all Atom.is_ground
-               (delta.Maintain.additions @ delta.Maintain.deletions) ->
-        let w = Wal.open_log d.fs ~path:wal_file in
-        Wal.append w
-          {
-            Wal.additions = delta.Maintain.additions;
-            deletions = delta.Maintain.deletions;
-          };
-        Some w
-      | _ -> None
-    in
-    (* the sink must not leak even when [apply] raises (e.g. max_rounds
-       exceeded deep in maintenance); [Wal.close] is idempotent, so the
-       rotation path's early close composes with the finalizer *)
-    Fun.protect
-      ~finally:(fun () -> Option.iter Wal.close wal)
-    @@ fun () ->
-    match Maintain.apply h delta with
+    match Store.commit (Store.resolve config.durability) h delta with
     | Error e -> Error e
-    | Ok rep ->
-      let checkpoint_ms, wal_bytes =
-        match (durable, wal) with
-        | Some d, Some w ->
-          let bytes = Wal.bytes w in
-          Wal.close w;
-          if bytes > d.wal_max_bytes then begin
-            (* rotation: checkpoint the maintained state under a fresh
-               generation, then compact the log. A crash between the
-               two leaves the old-generation log paired with the new
-               checkpoint — recovery sees the mismatch and uses the
-               checkpoint alone, which already includes this batch. *)
-            let t0 = Unix.gettimeofday () in
-            let gen = Wal.gen w + 1 in
-            ignore
-              (Snapshot.write d.fs ~path:checkpoint_file
-                 {
-                   Snapshot.db;
-                   edb = Maintain.edb h;
-                   counters = [ ("generation", float_of_int gen) ];
-                 });
-            Wal.reset d.fs ~path:wal_file ~gen;
-            ( (Unix.gettimeofday () -. t0) *. 1000.0,
-              d.fs.Codec.size wal_file )
-          end
-          else (0.0, bytes)
-        | _ -> (0.0, 0)
-      in
+    | Ok { Store.report = rep; checkpoint_ms; wal_bytes; _ } ->
       (match report with
       | None -> ()
       | Some r ->
@@ -511,94 +300,47 @@ let maintain ?(config = default_config) ?report p db delta =
       Ok rep)
 
 let recover ?(config = default_config) ?report p =
-  match effective_durability config with
+  match Store.resolve config.durability with
   | None ->
     Error
       "Engine.recover: no durability configured (set config.durability or \
        KIND_DURABLE_DIR)"
   | Some d -> (
     let t0 = Unix.gettimeofday () in
-    match Snapshot.read d.fs ~path:checkpoint_file with
+    (* a one-shot handle: only the indexes the replayed delta probes
+       get built *)
+    let adopt ~edb db =
+      Maintain.of_materialized ?pool:(pool_of config)
+        ~max_term_depth:config.max_term_depth ~max_rounds:config.max_rounds
+        ~compiled:config.compiled_plans ~edb ~prewarm:false p db
+    in
+    match Store.recover d ~adopt with
     | Error e -> Error ("Engine.recover: " ^ e)
     | Ok None -> Ok None
-    | Ok (Some snap) -> (
-      match Wal.replay d.fs ~path:wal_file with
-      | Error e -> Error ("Engine.recover: " ^ e)
-      | Ok (wal_gen, entries, _tail) -> (
-        (* a torn tail is a batch whose append barrier never completed:
-           it was not applied before the crash, so dropping it is the
-           pre-batch state — exactly what atomicity promises *)
-        let ckpt_gen =
-          match List.assoc_opt "generation" snap.Snapshot.counters with
+    | Ok (Some r) ->
+      (match report with
+      | None -> ()
+      | Some rep ->
+        let geti k =
+          match List.assoc_opt k r.Store.counters with
           | Some v -> int_of_float v
           | None -> 0
         in
-        (* a generation mismatch means the crash fell between a
-           checkpoint write and its log reset: the surviving entries
-           belong to the previous checkpoint (materialize: superseded;
-           rotation: already included), so the checkpoint alone is the
-           recovered state — and the pairing is repaired on disk so
-           later appends land in a log recovery will trust *)
-        let entries =
-          if wal_gen = ckpt_gen then entries
-          else begin
-            Wal.reset d.fs ~path:wal_file ~gen:ckpt_gen;
-            []
-          end
-        in
-        let db = snap.Snapshot.db in
-        let delta_facts = ref 0 in
-        (* the model is a function of the final base database, so the
-           whole log suffix replays as ONE coalesced maintenance batch
-           — one propagation pass instead of one per entry; an empty
-           net delta skips maintenance (and its prewarm copy) entirely *)
-        let net = Wal.coalesce entries in
-        let replay_all () =
-          if net.Wal.additions = [] && net.Wal.deletions = [] then Ok ()
-          else
-            match
-              Maintain.of_materialized ?pool:(pool_of config)
-                ~max_term_depth:config.max_term_depth
-                ~max_rounds:config.max_rounds
-                ~compiled:config.compiled_plans ~edb:snap.Snapshot.edb
-                ~prewarm:false p db
-            with
-            | Error e -> Error ("Engine.recover: " ^ e)
-            | Ok h -> (
-              match
-                Maintain.apply h
-                  (Maintain.delta ~additions:net.Wal.additions
-                     ~deletions:net.Wal.deletions ())
-              with
-              | Error err -> Error ("Engine.recover: " ^ err)
-              | Ok rep ->
-                delta_facts := rep.Maintain.added + rep.Maintain.removed;
-                Ok ())
-        in
-        match replay_all () with
-        | Error e -> Error e
-        | Ok () ->
-          let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-          (match report with
-          | None -> ()
-          | Some r ->
-            let geti k =
-              match List.assoc_opt k snap.Snapshot.counters with
-              | Some v -> int_of_float v
-              | None -> 0
-            in
-            r :=
-              {
-                empty_report with
-                strata = geti "strata";
-                rounds = geti "rounds";
-                derived = geti "derived";
-                skolems_suppressed = geti "skolems_suppressed";
-                delta_facts = !delta_facts;
-                recovery_ms = ms;
-                wal_bytes = d.fs.Codec.size wal_file;
-              });
-          Ok (Some db))))
+        rep :=
+          {
+            empty_report with
+            strata = geti "strata";
+            rounds = geti "rounds";
+            derived = geti "derived";
+            skolems_suppressed = geti "skolems_suppressed";
+            delta_facts =
+              (match r.Store.replayed with
+              | Some (_, m) -> m.Maintain.added + m.Maintain.removed
+              | None -> 0);
+            recovery_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
+            wal_bytes = d.fs.Codec.size Store.wal_file;
+          });
+      Ok (Some r.Store.db))
 
 let query ?stats db lits = Eval.solve_body ?stats ~db ~neg:db lits
 

@@ -21,28 +21,19 @@ type cost_oracle = {
 (** A static cost analysis feeding the planner — build one with
     [Analysis.Card.oracle]. *)
 
-type durability = {
-  fs : Codec.fs;  (** where checkpoint and WAL live (see {!Codec.real_fs}) *)
+type durability = Store.durability = {
+  fs : Codec.fs;
   wal_max_bytes : int;
-      (** rotation threshold: after a maintenance batch pushes the WAL
-          past this size, the maintained state is checkpointed and the
-          log compacted to a bare header *)
 }
-(** Durability configuration: a checkpoint file plus a write-ahead log
-    of maintenance batches, both under one {!Codec.fs}. See DESIGN.md
-    §14 for the atomicity argument. *)
-
-val durability : ?wal_max_bytes:int -> dir:string -> unit -> durability
-(** Durability rooted at directory [dir] (created on demand).
-    [wal_max_bytes] defaults to 1_000_000. *)
+(** The durable store's configuration, re-exported from {!Store} with
+    its fields; [Store.durability ~dir ()] builds one over a
+    directory. *)
 
 val checkpoint_file : string
-(** ["checkpoint.kind"] — path of the snapshot, relative to the
-    durability [fs] root. *)
+(** {!Store.checkpoint_file} *)
 
 val wal_file : string
-(** ["wal.kind"] — path of the write-ahead log, relative to the
-    durability [fs] root. *)
+(** {!Store.wal_file} *)
 
 type config = {
   strategy : strategy;
@@ -96,14 +87,14 @@ type config = {
           sequential. *)
   durability : durability option;
       (** when set, {!materialize} writes a checkpoint of the stratified
-          result (and compacts the WAL), {!maintain} appends each batch
-          to the WAL {e before} applying it (fsync'd — crash recovery
-          lands on exactly the pre- or post-batch database), and
-          {!recover} rebuilds the materialization from checkpoint +
-          log suffix. [None] (the default) falls back to the
-          [KIND_DURABLE_DIR] environment variable, read once; unset
-          means durability off. The well-founded fallback path never
-          checkpoints (snapshots encode two-valued databases only). *)
+          result ({!Store.checkpoint}), {!maintain} commits each batch
+          write-ahead ({!Store.commit}), and {!recover} rebuilds the
+          materialization from checkpoint + log suffix
+          ({!Store.recover}). [None] (the default) falls back to the
+          [KIND_DURABLE_DIR] environment variable ({!Store.resolve});
+          unset means durability off. The well-founded fallback path
+          never checkpoints (snapshots encode two-valued databases
+          only). *)
 }
 
 val default_config : config
@@ -175,21 +166,6 @@ val materialize :
     IDB facts. [edb] is not mutated. Ground facts contained in [p]
     itself are added first. *)
 
-val extend :
-  ?config:config ->
-  Program.t ->
-  Database.t ->
-  Logic.Atom.t list ->
-  (int, string) result
-(** Incremental maintenance: add new ground facts to an
-    already-materialized database and propagate their consequences
-    semi-naively (only joins touching the delta re-run). Returns the
-    number of new facts (input + derived). Restrictions: the program
-    must be stratified and {e negation-free and aggregate-free in the
-    affected strata} — deletions/additions under negation would need
-    DRed-style over-deletion, which this engine does not implement;
-    [Error] explains when that applies. The database is mutated. *)
-
 val maintain :
   ?config:config ->
   ?report:report ref ->
@@ -200,17 +176,18 @@ val maintain :
 (** Incremental view maintenance: absorb a batch of EDB insertions and
     deletions into an already-materialized stratified database,
     re-evaluating only the strata whose dependencies changed (see
-    {!Maintain}). Unlike {!extend}/{!retract} this handles stratified
-    negation and aggregation (changed nonmonotonic strata are rebuilt
-    from the maintained strata below them). The database is mutated.
-    [Error] if the program is unstratified or a delta fact is
-    non-ground. For repeated deltas keep a {!Maintain.t} handle
-    instead — this entry point re-adopts the database on every call.
+    {!Maintain}; stratified negation and aggregation included — changed
+    nonmonotonic strata are rebuilt from the maintained strata below
+    them). The database is mutated. [Error] if the program is
+    unstratified or a delta fact is non-ground. For repeated deltas
+    keep a {!Maintain.t} handle instead — this entry point re-adopts
+    the database on every call.
 
-    With durability configured, the batch is appended to the WAL and
-    fsync'd {e before} it is applied (write-ahead), and the log is
-    rotated into a fresh checkpoint once it exceeds
-    [durability.wal_max_bytes]. *)
+    With durability configured, the batch goes through {!Store.commit}:
+    appended to the WAL and fsync'd {e before} it is applied, and the
+    log rotated into a fresh checkpoint once it exceeds
+    [durability.wal_max_bytes]. [Error], with the database untouched,
+    when the log on disk is foreign or corrupt. *)
 
 val recover :
   ?config:config ->
@@ -218,29 +195,14 @@ val recover :
   Program.t ->
   (Database.t option, string) result
 (** Rebuild the materialization of [p] from the configured durability
-    directory: read the checkpoint, then replay the WAL suffix through
-    incremental maintenance (cost proportional to the log, not the
-    database). [Ok None] when no checkpoint exists (cold-start — call
-    {!materialize}). A torn WAL tail is dropped: by the write-ahead
-    ordering it belongs to a batch that was never applied. [Error] if
-    no durability is configured, a file is unreadable mid-stream, or
-    [p] no longer stratifies over the snapshot. The report's
+    directory through {!Store.recover}: read the checkpoint, then replay
+    the WAL suffix through incremental maintenance (cost proportional
+    to the log, not the database). [Ok None] when no checkpoint exists
+    (cold-start — call {!materialize}). [Error] if no durability is
+    configured, a file is unreadable mid-stream, or [p] no longer
+    stratifies over the snapshot. The report's
     [recovery_ms] / [wal_bytes] fields are filled; [strata] / [rounds] /
     [derived] echo the checkpoint's saved counters. *)
-
-val retract :
-  ?config:config ->
-  Program.t ->
-  Database.t ->
-  Logic.Atom.t list ->
-  (int, string) result
-(** Incremental deletion by delete-and-rederive (DRed): over-delete
-    every fact whose known derivations touch the retracted facts, then
-    re-derive the survivors that still have alternative proofs.
-    Returns the number of facts that actually disappeared. The
-    explicitly retracted facts themselves are kept out even if rules
-    could re-derive them. Same restrictions as {!extend} (positive
-    stratified programs). The database is mutated. *)
 
 val query :
   ?stats:Eval.stats -> Database.t -> Logic.Literal.t list -> Logic.Subst.t list

@@ -107,11 +107,18 @@ let as_string = function
   | Const (Sym s) | Const (Str s) -> Some s
   | _ -> None
 
+(* Printed terms are read back (result-cache keys, the wire protocol,
+   template splices), so a float prints exactly: the shorter of %.15g
+   and %.17g that parses to the same value. *)
+let float_text f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
 let pp_const ppf = function
   | Sym s -> Format.pp_print_string ppf s
   | Str s -> Format.fprintf ppf "%S" s
   | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.fprintf ppf "%g" f
+  | Float f -> Format.pp_print_string ppf (float_text f)
   | Bool b -> Format.pp_print_bool ppf b
 
 let rec pp ppf = function

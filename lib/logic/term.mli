@@ -110,5 +110,8 @@ val exit_parallel : unit -> unit
 (** {1 Pretty-printing} *)
 
 val pp_const : Format.formatter -> const -> unit
+(** Floats print exactly — the shorter of [%.15g] and [%.17g] that reads
+    back to the same value — so a printed term parses to itself. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -19,7 +19,7 @@ type config = {
   runtime : Runtime.policy;
   cost_budget : int option;
   domains : int;
-  durability : Datalog.Engine.durability option;
+  durability : Datalog.Store.durability option;
 }
 
 let default_config =
@@ -37,12 +37,6 @@ let default_config =
     domains = 0;
     durability = None;
   }
-
-let env_durability =
-  lazy
-    (match Sys.getenv_opt "KIND_DURABLE_DIR" with
-    | Some dir when dir <> "" -> Some (Datalog.Engine.durability ~dir ())
-    | _ -> None)
 
 module SSet = Set.Make (String)
 
@@ -137,15 +131,7 @@ let record_maintenance t (rep : Datalog.Maintain.report) =
 let cache_stats t = t.cstats
 let last_maintenance t = t.last_maintenance
 
-let effective_durability t =
-  match t.cfg.durability with
-  | Some _ as d -> d
-  | None -> Lazy.force env_durability
-
-let durable_of ?dir t =
-  match dir with
-  | Some dir -> Some (Datalog.Engine.durability ~dir ())
-  | None -> effective_durability t
+let effective_durability t = Datalog.Store.resolve t.cfg.durability
 
 (* Lift one declared store atom to a conceptual-level molecule, the
    namespacing step of Figure 3's "lifting". *)
@@ -217,8 +203,8 @@ let find_channel t name = Hashtbl.find_opt t.channels name
 
 (* ------------------------------------------------------------------ *)
 (* Durability: the engine half (checkpoint + WAL) goes through
-   Datalog.Snapshot/Wal; the federation half (breakers, channels,
-   clocks, ledger) through Durable. *)
+   Datalog.Store; the federation half (breakers, channels, clocks,
+   ledger) through Durable. *)
 
 let federation_state t =
   let sources =
@@ -261,27 +247,14 @@ let federation_state t =
     sources;
   }
 
-(* checkpoint the maintained materialization + federation state, and
-   compact the WAL (a fresh checkpoint subsumes every logged batch).
-   Checkpoint and reset carry a fresh generation so a crash between the
-   two leaves a detectably stale log instead of one recovery would
-   replay over a state it never belonged to. *)
-let write_checkpoint t (d : Datalog.Engine.durability) h =
-  let gen =
-    Datalog.Wal.generation d.Datalog.Engine.fs ~path:Datalog.Engine.wal_file
-    + 1
-  in
+(* checkpoint the maintained materialization (compacting the WAL), then
+   the federation state beside it *)
+let write_checkpoint t (d : Datalog.Store.durability) h =
   let bytes =
-    Datalog.Snapshot.write d.Datalog.Engine.fs
-      ~path:Datalog.Engine.checkpoint_file
-      {
-        Datalog.Snapshot.db = Datalog.Maintain.db h;
-        edb = Datalog.Maintain.edb h;
-        counters = [ ("generation", float_of_int gen) ];
-      }
+    Datalog.Store.checkpoint d ~db:(Datalog.Maintain.db h)
+      ~edb:(Datalog.Maintain.edb h) ()
   in
-  Datalog.Wal.reset d.Datalog.Engine.fs ~path:Datalog.Engine.wal_file ~gen;
-  Durable.save d.Datalog.Engine.fs (federation_state t);
+  Durable.save d.Datalog.Store.fs (federation_state t);
   bytes
 
 (* Static checks applied at registration time, per the [lint] policy:
@@ -811,47 +784,20 @@ let update_source t ~source ?(additions = []) ?(deletions = []) () =
       List.iter (fun m -> Wrapper.Store.add_fact store m) additions;
       match t.cache, t.maint with
       | Some _, Some h -> (
-        (* write-ahead: the lifted batch is fsync'd to the WAL before
-           it is applied, so recovery replays exactly the batches that
-           made it into the materialization (a torn last append belongs
-           to a batch that was never applied). Only a batch [apply]
-           will accept is logged — non-ground facts fail validation
-           without mutating and must not poison replay. *)
-        let wal =
-          match effective_durability t with
-          | Some d when List.for_all Logic.Atom.is_ground (added @ removed) ->
-            let w =
-              Datalog.Wal.open_log d.Datalog.Engine.fs
-                ~path:Datalog.Engine.wal_file
-            in
-            Datalog.Wal.append w
-              { Datalog.Wal.additions = added; deletions = removed };
-            Some (d, w)
-          | _ -> None
-        in
-        (* close the sink even when [apply] raises mid-maintenance;
-           [Wal.close] is idempotent, so the rotation path's early
-           close composes with the finalizer *)
-        Fun.protect
-          ~finally:(fun () ->
-            match wal with
-            | Some (_, w) -> Datalog.Wal.close w
-            | None -> ())
-        @@ fun () ->
+        let durable = effective_durability t in
         match
-          Datalog.Maintain.apply h
+          Datalog.Store.commit durable h
             (Datalog.Maintain.delta ~additions:added ~deletions:removed ())
         with
-        | Ok rep ->
-          (match wal with
-          | Some (d, w) ->
-            let bytes = Datalog.Wal.bytes w in
-            Datalog.Wal.close w;
-            if bytes > d.Datalog.Engine.wal_max_bytes then
-              ignore (write_checkpoint t d h)
-          | None -> ());
-          record_maintenance t rep;
-          Ok (Some rep)
+        | Ok c ->
+          (* a rotation checkpointed the engine half; the federation
+             half follows it, as after every checkpoint *)
+          (match durable with
+          | Some d when c.Datalog.Store.rotated ->
+            Durable.save d.Datalog.Store.fs (federation_state t)
+          | _ -> ());
+          record_maintenance t c.Datalog.Store.report;
+          Ok (Some c.Datalog.Store.report)
         | Error e ->
           invalidate t;
           Error e)
@@ -992,12 +938,12 @@ let revive_source t source =
 (* ------------------------------------------------------------------ *)
 (* Durable checkpoint / recovery *)
 
-let checkpoint ?dir t =
-  match durable_of ?dir t with
+let checkpoint t =
+  match effective_durability t with
   | None ->
     Error
       "Mediator.checkpoint: no durability configured (set \
-       config.durability, pass ~dir, or KIND_DURABLE_DIR)"
+       config.durability or KIND_DURABLE_DIR)"
   | Some d -> (
     ignore (materialize t);
     match t.maint with
@@ -1045,95 +991,46 @@ let restore_federation t (st : Durable.state) =
              ~stale:s.Durable.channel_stale ~clock:s.Durable.channel_clock src))
     st.Durable.sources
 
-let recover ?dir t =
-  match durable_of ?dir t with
+let recover t =
+  match effective_durability t with
   | None ->
     Error
-      "Mediator.recover: no durability configured (set config.durability, \
-       pass ~dir, or KIND_DURABLE_DIR)"
+      "Mediator.recover: no durability configured (set config.durability \
+       or KIND_DURABLE_DIR)"
   | Some d -> (
-    match
-      Datalog.Snapshot.read d.Datalog.Engine.fs
-        ~path:Datalog.Engine.checkpoint_file
-    with
-    | Error e -> Error ("Mediator.recover: " ^ e)
-    | Ok None -> Ok false
-    | Ok (Some snap) -> (
-      (* the program is rebuilt from the re-registered federation
-         topology; the checkpoint's base database carries the lifted
-         source data, so no gather runs *)
-      let p = build_program_with t ~data:[] in
-      match Flogic.Fl_program.compile p with
-      | Error e -> Error ("Mediator.recover: " ^ e)
-      | Ok dp -> (
-        match
+    (* the program is rebuilt from the re-registered federation
+       topology; the checkpoint's base database carries the lifted
+       source data, so no gather runs *)
+    let adopt ~edb db =
+      Result.bind
+        (Flogic.Fl_program.compile (build_program_with t ~data:[]))
+        (fun dp ->
           Datalog.Maintain.of_materialized
             ?pool:(Pool.get (effective_domains t))
-            ~edb:snap.Datalog.Snapshot.edb dp snap.Datalog.Snapshot.db
-        with
-        | Error e -> Error ("Mediator.recover: " ^ e)
-        | Ok h -> (
-          match
-            Datalog.Wal.replay d.Datalog.Engine.fs
-              ~path:Datalog.Engine.wal_file
-          with
-          | Error e -> Error ("Mediator.recover: " ^ e)
-          | Ok (wal_gen, entries, _tail) -> (
-            (* a torn tail is a batch whose append never completed: it
-               was not applied pre-crash, so dropping it is the
-               pre-batch state *)
-            let ckpt_gen =
-              match
-                List.assoc_opt "generation" snap.Datalog.Snapshot.counters
-              with
-              | Some v -> int_of_float v
-              | None -> 0
-            in
-            (* mismatched generations: the crash fell between a
-               checkpoint write and its log reset, so the surviving
-               entries belong to the previous checkpoint — use the
-               checkpoint alone and repair the pairing on disk *)
-            let entries =
-              if wal_gen = ckpt_gen then entries
-              else begin
-                Datalog.Wal.reset d.Datalog.Engine.fs
-                  ~path:Datalog.Engine.wal_file ~gen:ckpt_gen;
-                []
-              end
-            in
-            (* the model is a function of the final base database, so
-               the suffix replays as ONE coalesced batch — one
-               propagation pass instead of one per entry *)
-            let net = Datalog.Wal.coalesce entries in
-            let replayed =
-              if
-                net.Datalog.Wal.additions = []
-                && net.Datalog.Wal.deletions = []
-              then Ok ()
-              else
-                match
-                  Datalog.Maintain.apply h
-                    (Datalog.Maintain.delta
-                       ~additions:net.Datalog.Wal.additions
-                       ~deletions:net.Datalog.Wal.deletions ())
-                with
-                | Ok rep ->
-                  t.last_maintenance <- Some rep;
-                  Ok ()
-                | Error err -> Error ("Mediator.recover: replay: " ^ err)
-            in
-            match replayed with
-            | Error e -> Error e
-            | Ok () ->
-              t.maint <- Some h;
-              t.cache <- Some (Datalog.Maintain.db h);
-              Hashtbl.reset t.qcache;
-              (* the federation half: breakers resume where they were —
-                 an open breaker stays open and goes half-open when its
-                 cooldown lapses on the restored clock; recovery must
-                 NOT revive anything *)
-              (match Durable.load d.Datalog.Engine.fs with
-              | Error e -> t.warnings <- t.warnings @ [ "recover: " ^ e ]
-              | Ok None -> ()
-              | Ok (Some st) -> restore_federation t st);
-              Ok true)))))
+            ~edb dp db)
+    in
+    let handle =
+      Result.bind (Datalog.Store.recover d ~adopt) (function
+        | None -> Ok None
+        | Some { Datalog.Store.replayed = Some (h, rep); _ } ->
+          t.last_maintenance <- Some rep;
+          Ok (Some h)
+        | Some { Datalog.Store.db; edb; replayed = None; _ } ->
+          Result.map Option.some (adopt ~edb db))
+    in
+    match handle with
+    | Error e -> Error ("Mediator.recover: " ^ e)
+    | Ok None -> Ok false
+    | Ok (Some h) ->
+      t.maint <- Some h;
+      t.cache <- Some (Datalog.Maintain.db h);
+      Hashtbl.reset t.qcache;
+      (* the federation half: breakers resume where they were — an
+         open breaker stays open and goes half-open when its cooldown
+         lapses on the restored clock; recovery must NOT revive
+         anything *)
+      (match Durable.load d.Datalog.Store.fs with
+      | Error e -> t.warnings <- t.warnings @ [ "recover: " ^ e ]
+      | Ok None -> ()
+      | Ok (Some st) -> restore_federation t st);
+      Ok true)

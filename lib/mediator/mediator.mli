@@ -63,14 +63,15 @@ type config = {
           pool ({!Datalog.Engine.config.domains}). [0] (the default)
           defers to the [KIND_DOMAINS] environment variable /
           [kindctl --domains]; [1] forces sequential. *)
-  durability : Datalog.Engine.durability option;
+  durability : Datalog.Store.durability option;
       (** when set, {!materialize} auto-checkpoints a freshly maintained
           materialization (engine snapshot + federation state, WAL
-          compacted), {!update_source} appends each lifted batch to the
+          compacted), {!update_source} commits each lifted batch to the
           WAL {e before} applying it and rotates the log past
-          [wal_max_bytes], and {!recover} rebuilds the live federation.
-          [None] (the default) falls back to the [KIND_DURABLE_DIR]
-          environment variable; unset means durability off. The
+          [wal_max_bytes] ({!Datalog.Store.commit}), and {!recover}
+          rebuilds the live federation. [None] (the default) falls back
+          to the [KIND_DURABLE_DIR] environment variable
+          ({!Datalog.Store.resolve}); unset means durability off. The
           well-founded fallback never checkpoints. *)
 }
 
@@ -119,7 +120,10 @@ val update_source :
     only the strata whose predicates are affected re-evaluate, and only
     the cached query results that read a touched predicate are dropped.
     [Ok None] when nothing was materialized yet (the store update will
-    be picked up lazily); [Ok (Some report)] after an incremental pass. *)
+    be picked up lazily); [Ok (Some report)] after an incremental pass.
+    [Error] when the batch cannot be absorbed (a non-ground fact, or a
+    foreign or corrupt WAL): the live materialization is then dropped,
+    so the next query rebuilds from the updated wrapper stores. *)
 
 val add_ivd_text : t -> string -> (unit, string) result
 (** IVD in FL surface syntax, parsed with the mediator's accumulated
@@ -266,22 +270,22 @@ val degraded_queries : t -> int
 (** {1 Durability}
 
     The engine half of the state (the mediated object base and its base
-    facts) lives in a {!Datalog.Snapshot} checkpoint plus a
-    {!Datalog.Wal} of maintenance batches; the federation half
+    facts) lives in a {!Datalog.Store}: a checkpoint plus a write-ahead
+    log of maintenance batches; the federation half
     (per-source breaker status and health counters, fault-channel
     positions, the virtual clock, the degraded-query ledger) in a
     {!Durable} state file. All three are written through the durability
     {!Codec.fs}, so the crash-point harness ({!Wrapper.Crashpoint}) can
     kill a write mid-frame. See DESIGN.md §14. *)
 
-val checkpoint : ?dir:string -> t -> (int, string) result
+val checkpoint : t -> (int, string) result
 (** Write a full checkpoint — engine snapshot, federation state, WAL
-    compacted — to the configured durability store ([?dir] overrides
-    it). Forces a materialization. Returns the snapshot size in bytes.
+    compacted — to the configured durability store. Forces a
+    materialization. Returns the snapshot size in bytes.
     [Error] when no durability is configured or the materialization
     came through the well-founded fallback. *)
 
-val recover : ?dir:string -> t -> (bool, string) result
+val recover : t -> (bool, string) result
 (** Rebuild the live federation from the durability store: read the
     checkpoint, adopt it under incremental maintenance (the program is
     recompiled from the {e re-registered} topology — register the same

@@ -34,7 +34,7 @@ val create : unit -> t
     and cost ticks, nothing crashes. *)
 
 val fs : t -> Codec.fs
-(** The {!Codec.fs} view — hand this to {!Datalog.Engine.durability}'s
+(** The {!Codec.fs} view — hand this to {!Datalog.Store.durability}'s
     [fs] field (bypassing [real_fs]) or use it directly with
     {!Datalog.Snapshot} / {!Datalog.Wal}. *)
 

@@ -383,6 +383,49 @@ let test_incremental_updates () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown source accepted"
 
+(* Result-cache keys are printed terms: two bounds that differ past the
+   sixth significant digit must not share a cached answer. *)
+let test_cache_keys_exact_floats () =
+  let config =
+    {
+      Mediator.default_config with
+      Mediator.dl_mode = Dl.Translate.Ic;
+      inheritance = false;
+    }
+  in
+  let with_observation () =
+    let med = fresh_mediator ~config () in
+    let id = s "live_near" in
+    (match
+       Mediator.update_source med ~source:"SYNAPSE"
+         ~additions:
+           [
+             Molecule.Isa (id, s "spine_measure");
+             Molecule.Meth_val (id, "diameter", Logic.Term.float 0.6000002);
+             Molecule.Meth_val (id, "location", s "pyramidal_cell");
+             Molecule.Meth_val (id, "species", Logic.Term.str "rat");
+           ]
+         ()
+     with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    med
+  in
+  let count med bound =
+    match
+      Mediator.query_text med ("X : spine, X[diameter ->> D], D > " ^ bound)
+    with
+    | Ok answers -> List.length answers
+    | Error e -> Alcotest.fail e
+  in
+  let med = with_observation () in
+  let below = count med "0.6000001" in
+  let at = count med "0.6000002" in
+  let fresh = count (with_observation ()) "0.6000002" in
+  Alcotest.(check int) "no stale cache hit across the bounds" fresh at;
+  Alcotest.(check int) "the observation lies between the bounds" (fresh + 1)
+    below
+
 let suites =
   [
     ( "mediator.namespace",
@@ -397,6 +440,8 @@ let suites =
         Alcotest.test_case "register via XML" `Quick test_register_via_xml;
         Alcotest.test_case "consistency" `Quick test_consistency_check;
         Alcotest.test_case "incremental updates" `Quick test_incremental_updates;
+        Alcotest.test_case "cache keys keep float digits" `Quick
+          test_cache_keys_exact_floats;
       ] );
     ( "mediator.selection",
       [ Alcotest.test_case "semantic index" `Quick test_source_selection ] );

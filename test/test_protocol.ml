@@ -51,6 +51,13 @@ let test_request_roundtrip () =
         };
       Protocol.Fetch_tuples { rel = "has"; pattern = [ ("whole", s "d1") ] };
       Protocol.Run_template { name = "wide"; args = [ ("min", f 0.5) ] };
+      (* more digits than %g prints: floats must cross the wire exactly *)
+      Protocol.Update_facts
+        {
+          source = "LAB";
+          additions = [ Molecule.Meth_val (s "s3", "diameter", f 0.123456789) ];
+          deletions = [];
+        };
       Protocol.Register
         { format = "gcm-xml"; document = Xml.elt "gcm" ~attrs:[ ("source", "X") ] [] };
     ]

@@ -110,14 +110,20 @@ let prop_explain_complete =
              | None -> false))
 
 (* -------------------------------------------------------------------- *)
-(* Retract (DRed) *)
+(* Retract (DRed, through Engine.maintain) *)
+
+(* absorb deletions into a materialization; the number of facts gone *)
+let retract p db facts =
+  Result.map
+    (fun r -> r.Maintain.removed)
+    (Engine.maintain p db (Maintain.delta ~deletions:facts ()))
 
 let test_retract_equals_rebuild () =
   let p = Program.make_exn (tc_rules @ chain 6) in
   let db = Engine.materialize p (Database.create ()) in
   (* cut the chain in the middle *)
   let cut = atom "edge" [ s "n3"; s "n4" ] in
-  (match Engine.retract p db [ cut ] with
+  (match retract p db [ cut ] with
   | Ok gone -> Alcotest.(check bool) "facts disappeared" true (gone > 1)
   | Error e -> Alcotest.failf "retract failed: %s" e);
   let rebuilt =
@@ -141,7 +147,7 @@ let test_retract_rederives () =
   in
   let p = Program.make_exn (tc_rules @ edges) in
   let db = Engine.materialize p (Database.create ()) in
-  (match Engine.retract p db [ atom "edge" [ s "b"; s "d" ] ] with
+  (match retract p db [ atom "edge" [ s "b"; s "d" ] ] with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "retract failed: %s" e);
   Alcotest.(check bool) "tc(a,d) rederived via c" true
@@ -149,19 +155,32 @@ let test_retract_rederives () =
   Alcotest.(check bool) "tc(b,d) gone" false
     (Database.mem db (atom "tc" [ s "b"; s "d" ]))
 
-let test_retract_rejects_negation () =
-  let p =
-    Program.make_exn
-      (tc_rules
-      @ [
-          rule (atom "iso" [ v "X" ])
-            [ Literal.pos "node" [ v "X" ]; Literal.neg "tc" [ v "X"; v "X" ] ];
-        ])
+(* negation over the closure: cutting the cycle recomputes the negated
+   stratum, and the result equals the rebuild *)
+let test_retract_negation_equals_rebuild () =
+  let rules =
+    tc_rules
+    @ [
+        rule (atom "iso" [ v "X" ])
+          [ Literal.pos "node" [ v "X" ]; Literal.neg "tc" [ v "X"; v "X" ] ];
+      ]
   in
-  let db = Engine.materialize p (Database.create ()) in
-  match Engine.retract p db [ atom "edge" [ s "a"; s "b" ] ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negation must be rejected"
+  let base =
+    [ atom "node" [ s "a" ]; atom "edge" [ s "a"; s "b" ]; atom "edge" [ s "b"; s "a" ] ]
+  in
+  let p = Program.make_exn rules in
+  let db = Engine.materialize p (Database.of_facts base) in
+  let cut = atom "edge" [ s "a"; s "b" ] in
+  (match retract p db [ cut ] with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "retract failed: %s" e);
+  Alcotest.(check bool) "maintained = rebuild" true
+    (Database.equal
+       (Engine.materialize p
+          (Database.of_facts (List.filter (fun f -> f <> cut) base)))
+       db);
+  Alcotest.(check bool) "a isolated once the cycle is cut" true
+    (Database.mem db (atom "iso" [ s "a" ]))
 
 let prop_retract_incremental =
   QCheck.Test.make ~name:"retract = rebuild without the fact" ~count:40
@@ -183,7 +202,7 @@ let prop_retract_incremental =
           (tc_rules @ List.map (fun (a, b) -> fact "edge" [ s a; s b ]) edges)
       in
       let db = Engine.materialize p (Database.create ()) in
-      (match Engine.retract p db [ atom "edge" [ s (fst victim); s (snd victim) ] ] with
+      (match retract p db [ atom "edge" [ s (fst victim); s (snd victim) ] ] with
       | Ok _ -> ()
       | Error e -> failwith e);
       let rebuilt =
@@ -272,7 +291,8 @@ let suites =
       [
         Alcotest.test_case "retract = rebuild" `Quick test_retract_equals_rebuild;
         Alcotest.test_case "rederivation" `Quick test_retract_rederives;
-        Alcotest.test_case "negation rejected" `Quick test_retract_rejects_negation;
+        Alcotest.test_case "maintained = rebuild" `Quick
+          test_retract_negation_equals_rebuild;
         QCheck_alcotest.to_alcotest prop_retract_incremental;
       ] );
     ( "provenance.lav",

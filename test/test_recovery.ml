@@ -16,9 +16,13 @@
    oracle — under BOTH post-crash models (un-fsynced bytes kept torn /
    dropped).
 
-   The matrix is seeded like the fault matrix: case [i] uses seed
+   The matrix runs over two targets: the engine (materialize, then
+   Engine.maintain batches) and the mediator (materialize, then
+   Mediator.update_source batches with a WAL small enough to rotate).
+   It is seeded like the fault matrix: case [i] uses seed
    [base*10_000 + i] with [base] from KIND_RECOVERY_SEED (default 0);
-   KIND_RECOVERY_CASES (default 200) sets the case count. *)
+   KIND_RECOVERY_CASES (default 200) sets the engine's case count, and
+   the mediator pass runs at most 40 of them. *)
 
 open Logic
 open Datalog
@@ -119,28 +123,35 @@ let run_workload w ~fs ~on_phase =
 (* ------------------------------------------------------------------ *)
 (* The crash matrix                                                    *)
 
-let run_case seed =
-  let w = gen_workload (Random.State.make [| seed |]) in
+(* One matrix, two targets: the engine and the mediator. A target runs
+   its seeded workload over a filesystem, reporting each completed phase
+   with a thunk for its canonical state; recovers from a filesystem
+   ([None] = no checkpoint); and, for the double crash, commits one more
+   batch into what it recovered, returning the canonical state after. *)
+type 'r target = {
+  run : Codec.fs -> on_phase:(int -> (unit -> string) -> unit) -> unit;
+  recover : Codec.fs -> (('r * string) option, string) result;
+  commit_more : Codec.fs -> 'r -> (string, string) result;
+}
+
+let crash_matrix ~seed t =
   (* fault-free oracle: canonical state after every phase, and the
      cumulative tick cost of each phase boundary *)
   let oracle = Crashpoint.create () in
   let states = ref [] and marks = ref [] in
-  run_workload w ~fs:(Crashpoint.fs oracle) ~on_phase:(fun k db ->
-      states := (k, canon db) :: !states;
+  t.run (Crashpoint.fs oracle) ~on_phase:(fun k state ->
+      states := (k, state ()) :: !states;
       marks := Crashpoint.ticks oracle :: !marks);
   let states = List.rev !states in
   let total = Crashpoint.ticks oracle in
   let nphases = List.length states in
   (* sanity: the oracle's own store recovers to the final state *)
-  (match
-     Engine.recover ~config:(config_over (Crashpoint.fs oracle) w.wal_max)
-       tc_program
-   with
-  | Ok (Some db) ->
+  (match t.recover (Crashpoint.fs oracle) with
+  | Ok (Some (_, got)) ->
     Alcotest.(check string)
       "fault-free recovery is bit-identical to the oracle"
       (List.assoc (nphases - 1) states)
-      (canon db)
+      got
   | Ok None -> Alcotest.fail "fault-free store lost its checkpoint"
   | Error e -> Alcotest.failf "fault-free recovery: %s" e);
   (* kill schedule: every phase boundary ±1, plus seeded spread *)
@@ -160,9 +171,7 @@ let run_case seed =
           let cp = Crashpoint.create () in
           Crashpoint.arm cp ~budget ~mode;
           let completed = ref (-1) in
-          (try
-             run_workload w ~fs:(Crashpoint.fs cp) ~on_phase:(fun k _ ->
-                 completed := k)
+          (try t.run (Crashpoint.fs cp) ~on_phase:(fun k _ -> completed := k)
            with Crashpoint.Crashed -> ());
           Crashpoint.settle cp;
           let allowed =
@@ -177,16 +186,12 @@ let run_case seed =
               | Crashpoint.Drop_unsynced -> "drop-unsynced")
               (!completed + 1) verdict
           in
-          match
-            Engine.recover ~config:(config_over (Crashpoint.fs cp) w.wal_max)
-              tc_program
-          with
+          match t.recover (Crashpoint.fs cp) with
           | Error e -> Alcotest.fail (label ("error: " ^ e))
           | Ok None ->
             if not (List.mem None allowed) then
               Alcotest.fail (label "no checkpoint, but one phase had committed")
-          | Ok (Some db) ->
-            let got = canon db in
+          | Ok (Some (recovered, got)) -> (
             if not (List.mem (Some got) allowed) then
               Alcotest.fail
                 (label "a state that is neither pre- nor post-crash-phase");
@@ -194,27 +199,41 @@ let run_case seed =
                survive a second recovery — regression for appends
                stranded behind a torn tail, and for a stale log paired
                with a newer checkpoint *)
-            let config = config_over (Crashpoint.fs cp) w.wal_max in
-            (match
-               Engine.maintain ~config tc_program db
-                 { Maintain.additions = [ edge "zz" "n0" ]; deletions = [] }
-             with
-            | Error e -> Alcotest.fail (label ("post-recovery maintain: " ^ e))
-            | Ok _ -> ());
-            let after = canon db in
-            (match Engine.recover ~config tc_program with
-            | Ok (Some db2) ->
-              Alcotest.(check string)
-                (label "second recovery keeps the post-recovery batch")
-                after (canon db2)
-            | Ok None -> Alcotest.fail (label "checkpoint vanished")
-            | Error e -> Alcotest.fail (label ("second recovery: " ^ e))))
+            match t.commit_more (Crashpoint.fs cp) recovered with
+            | Error e -> Alcotest.fail (label ("post-recovery batch: " ^ e))
+            | Ok after -> (
+              match t.recover (Crashpoint.fs cp) with
+              | Ok (Some (_, again)) ->
+                Alcotest.(check string)
+                  (label "second recovery keeps the post-recovery batch")
+                  after again
+              | Ok None -> Alcotest.fail (label "checkpoint vanished")
+              | Error e -> Alcotest.fail (label ("second recovery: " ^ e)))))
         [ Crashpoint.Keep_torn; Crashpoint.Drop_unsynced ])
     budgets
 
+let engine_target w =
+  {
+    run =
+      (fun fs ~on_phase ->
+        run_workload w ~fs ~on_phase:(fun k db -> on_phase k (fun () -> canon db)));
+    recover =
+      (fun fs ->
+        Result.map
+          (Option.map (fun db -> (db, canon db)))
+          (Engine.recover ~config:(config_over fs w.wal_max) tc_program));
+    commit_more =
+      (fun fs db ->
+        Result.map
+          (fun _ -> canon db)
+          (Engine.maintain ~config:(config_over fs w.wal_max) tc_program db
+             { Maintain.additions = [ edge "zz" "n0" ]; deletions = [] }));
+  }
+
 let test_crash_matrix () =
   for i = 0 to cases - 1 do
-    run_case ((base_seed * 10_000) + i)
+    let seed = (base_seed * 10_000) + i in
+    crash_matrix ~seed (engine_target (gen_workload (Random.State.make [| seed |])))
   done
 
 (* ------------------------------------------------------------------ *)
@@ -536,16 +555,16 @@ let hot_ivd =
       ];
   ]
 
-let med_config fs =
+let med_config ?(wal_max = 1_000_000) fs =
   {
     Mediator.default_config with
     Mediator.dl_mode = Dl.Translate.Ic;
     inheritance = false;
-    durability = Some { Engine.fs; wal_max_bytes = 1_000_000 };
+    durability = Some { Engine.fs; wal_max_bytes = wal_max };
   }
 
-let build_med fs =
-  let med = Mediator.create ~config:(med_config fs) (tiny_dmap ()) in
+let build_med ?wal_max fs =
+  let med = Mediator.create ~config:(med_config ?wal_max fs) (tiny_dmap ()) in
   List.iter
     (fun src ->
       match Mediator.register_source med src with
@@ -645,6 +664,159 @@ let test_mediator_recover_breaker () =
   Alcotest.(check bool) "half-open probe attempted after the open period" true
     (h2'.Runtime.calls > h2.Runtime.calls || h2'.Runtime.quarantined)
 
+(* ------------------------------------------------------------------ *)
+(* The crash matrix, mediator pass                                     *)
+
+(* the molecules of one source object, as update_source takes them *)
+let object_molecules (obj, x) =
+  [ Molecule.Isa (Term.sym obj, Term.sym "c"); Molecule.Meth_val (Term.sym obj, "m", Term.float x) ]
+
+type med_workload = {
+  updates : (string * (string * float) list * (string * float) list) list;
+      (** source, objects added, objects removed *)
+  med_wal_max : int;
+}
+
+(* update batches over build_med's three sources: new objects, and now
+   and then the removal of one the source still holds *)
+let gen_med_workload st =
+  let present =
+    ref [ ("A", [ ("a1", 3.0); ("a2", 1.0) ]); ("B", [ ("b1", 5.0) ]); ("C", [ ("c1", 4.0) ]) ]
+  in
+  let fresh = ref 0 in
+  let update () =
+    let source, held = List.nth !present (Random.State.int st 3) in
+    let adds =
+      List.init
+        (1 + Random.State.int st 2)
+        (fun _ ->
+          incr fresh;
+          ( Printf.sprintf "%s%d" (String.lowercase_ascii source) (10 + !fresh),
+            float_of_int (Random.State.int st 6) ))
+    in
+    let dels =
+      if held <> [] && Random.State.bool st then
+        [ List.nth held (Random.State.int st (List.length held)) ]
+      else []
+    in
+    present :=
+      List.map
+        (fun (src, objs) ->
+          if src = source then (src, adds @ List.filter (fun o -> not (List.mem o dels)) objs)
+          else (src, objs))
+        !present;
+    (source, adds, dels)
+  in
+  let updates = List.init (2 + Random.State.int st 3) (fun _ -> update ()) in
+  (* a few hundred bytes: rotations fall inside the run, so the
+     checkpoint/reset/federation-save sequence is under the kill
+     schedule too *)
+  { updates; med_wal_max = 150 + Random.State.int st 300 }
+
+let med_state med () = canon (Mediator.materialize med)
+
+let mediator_target w =
+  let build fs = build_med ~wal_max:w.med_wal_max fs in
+  let update med (source, adds, dels) =
+    match
+      Mediator.update_source med ~source
+        ~additions:(List.concat_map object_molecules adds)
+        ~deletions:(List.concat_map object_molecules dels)
+        ()
+    with
+    | Ok (Some _) -> Ok ()
+    | Ok None -> Error "no live materialization absorbed the update"
+    | Error e -> Error e
+  in
+  {
+    run =
+      (fun fs ~on_phase ->
+        let med = build fs in
+        (* the first materialization auto-checkpoints *)
+        ignore (Mediator.materialize med);
+        on_phase 0 (med_state med);
+        List.iteri
+          (fun j u ->
+            match update med u with
+            | Ok () -> on_phase (j + 1) (med_state med)
+            | Error e -> Alcotest.failf "update (batch %d): %s" j e)
+          w.updates);
+    recover =
+      (fun fs ->
+        let med = build fs in
+        Result.map
+          (fun found -> if found then Some (med, med_state med ()) else None)
+          (Mediator.recover med));
+    commit_more =
+      (fun _ med ->
+        Result.map (med_state med) (update med ("A", [ ("zz", 7.0) ], [])));
+  }
+
+(* about 40 cases: each kill point rebuilds a whole mediator *)
+let med_cases = min cases 40
+
+let test_mediator_crash_matrix () =
+  for i = 0 to med_cases - 1 do
+    let seed = (base_seed * 10_000) + i in
+    crash_matrix ~seed (mediator_target (gen_med_workload (Random.State.make [| seed |])))
+  done
+
+(* ------------------------------------------------------------------ *)
+(* A foreign or corrupt log refuses the batch                          *)
+
+(* long enough to pass for a log header, but not a KIND log *)
+let foreign_log = String.make 64 'x'
+
+let damage_log fs =
+  let sink = fs.Codec.sink ~append:false Engine.wal_file in
+  sink.Codec.write foreign_log;
+  sink.Codec.flush ();
+  sink.Codec.close ()
+
+let test_engine_maintain_damaged_log () =
+  let fs = Crashpoint.fs (Crashpoint.create ()) in
+  let config = config_over fs 1_000_000 in
+  let db =
+    Engine.materialize ~config tc_program (Database.of_facts [ edge "a" "b" ])
+  in
+  let before = canon db in
+  damage_log fs;
+  (match
+     Engine.maintain ~config tc_program db
+       { Maintain.additions = [ edge "b" "c" ]; deletions = [] }
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a batch was absorbed past a foreign log");
+  Alcotest.(check string) "nothing applied" before (canon db);
+  Alcotest.(check (option string)) "nothing logged" (Some foreign_log)
+    (fs.Codec.read Engine.wal_file)
+
+let test_mediator_update_damaged_log () =
+  let fs = Crashpoint.fs (Crashpoint.create ()) in
+  let med = build_med fs in
+  let before = answers med hot_goal in
+  damage_log fs;
+  let batch = object_molecules ("a9", 9.0) in
+  (match Mediator.update_source med ~source:"A" ~additions:batch () with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a batch was absorbed past a foreign log");
+  (* the wrapper store took the batch, and the dropped materialization
+     is rebuilt from it *)
+  let fresh = build_med (Crashpoint.fs (Crashpoint.create ())) in
+  ignore (Mediator.update_source fresh ~source:"A" ~additions:batch ());
+  let want = answers fresh hot_goal in
+  Alcotest.(check bool) "the update changes the answer" true (want <> before);
+  Alcotest.(check (list string)) "answers follow the wrapper store" want
+    (answers med hot_goal);
+  (* the rebuild's checkpoint re-paired the store *)
+  let med2 = build_med fs in
+  (match Mediator.recover med2 with
+  | Ok true -> ()
+  | Ok false -> Alcotest.fail "no checkpoint found"
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (list string)) "recovery after the rebuild" want
+    (answers med2 hot_goal)
+
 let suites =
   [
     ( Printf.sprintf "recovery [seed %d, %d cases]" base_seed cases,
@@ -666,6 +838,12 @@ let suites =
           test_mediator_recover;
         Alcotest.test_case "mediator recovery resumes breakers" `Quick
           test_mediator_recover_breaker;
+        Alcotest.test_case "engine maintain refuses a foreign log" `Quick
+          test_engine_maintain_damaged_log;
+        Alcotest.test_case "mediator update refuses a foreign log" `Quick
+          test_mediator_update_damaged_log;
         Alcotest.test_case "crash matrix" `Slow test_crash_matrix;
+        Alcotest.test_case "crash matrix, mediator pass" `Slow
+          test_mediator_crash_matrix;
       ] );
   ]
