@@ -70,21 +70,37 @@ let merge_into ~dst src =
         r acc)
     src 0
 
-let equal a b =
-  let preds =
-    List.sort_uniq String.compare (predicates a @ predicates b)
-  in
-  List.for_all
-    (fun p ->
-      count a p = count b p
+(* Set operations run on the stored packed rows (intern-id key plus
+   hash): no sorting and no re-interning of columns. *)
+let subset a b =
+  Hashtbl.fold
+    (fun p ra ok ->
+      ok
       &&
-      match (relation_opt a p, relation_opt b p) with
-      | None, _ | _, None -> true (* equal counts, so both empty *)
-      | Some ra, Some rb ->
-        List.equal
-          (fun x y -> Tuple.compare x y = 0)
-          (Relation.to_list ra) (Relation.to_list rb))
-    preds
+      match relation_opt b p with
+      | Some rb -> Relation.subset ra rb
+      | None -> Relation.is_empty ra)
+    a true
+
+(* a ⊆ b with |a| = |b| leaves no fact of b outside a; a relation that
+   was touched but holds no rows adds nothing to either side *)
+let equal a b = cardinal a = cardinal b && subset a b
+
+let diff a b =
+  let d = create () in
+  Hashtbl.iter
+    (fun p ra ->
+      let rb = relation_opt b p in
+      Relation.iter_packed
+        (fun row ->
+          match rb with
+          | Some rb when Relation.mem_packed rb row -> ()
+          | _ -> ignore (Relation.add_packed (relation d p) row))
+        ra)
+    a;
+  d
+
+let settle db = Hashtbl.iter (fun _ r -> Relation.settle r) db
 
 let of_facts fs =
   let db = create () in

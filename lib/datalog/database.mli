@@ -46,7 +46,18 @@ val equal : t -> t -> bool
 (** Extensional equality: the same facts under every predicate
     (predicates that exist but hold no tuples are ignored, so a
     database that merely {e touched} a relation equals one that never
-    did). Deterministic via {!Relation.to_list}'s sorted enumeration. *)
+    did). Equal cardinals plus a subset test on the stored rows
+    ({!Relation.subset}): one id-keyed probe per fact, no sorting. *)
+
+val diff : t -> t -> t
+(** [diff a b]: a fresh database of the facts of [a] that are not in
+    [b], shared row by row with [a]. It touches only the predicates it
+    puts a fact in. *)
+
+val settle : t -> unit
+(** {!Relation.settle} every relation: each index built so far catches
+    up with its relation's insertion log, so reads over those indexes
+    no longer mutate the database. *)
 
 val merge_into : dst:t -> t -> int
 (** Add every fact of the source database into [dst]; returns the number

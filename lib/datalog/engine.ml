@@ -250,6 +250,18 @@ let materialize ?(config = default_config) ?report p edb =
         ~derived:(Database.cardinal model.Wellfounded.true_facts
                   - Database.cardinal db)
         ~skolems:0 ~result:model.Wellfounded.true_facts;
+      (* hand back a settled model: every index the alternating
+         fixpoint built has replayed its insertion log, so the first
+         query over a rebuild does not pay that backlog. The stratified
+         branch is left lazy: there the replay mostly feeds indexes
+         built for one round and never probed again. *)
+      Database.settle model.Wellfounded.true_facts;
+      (* The replay's index cells and the model's last rows are young
+         and all survive: promote them here, or the next minor
+         collection does it inside whichever query happens to fill the
+         minor heap first, and that query's latency then depends on
+         where the rebuild left the heap. *)
+      Gc.minor ();
       model.Wellfounded.true_facts
   in
   (* the oracle is consulted by [Plan.lookup], which the strategies call

@@ -164,7 +164,11 @@ val materialize :
 (** [materialize p edb] computes the least (or well-founded) model of
     [p] over [edb] and returns it as a fresh database containing EDB and
     IDB facts. [edb] is not mutated. Ground facts contained in [p]
-    itself are added first. *)
+    itself are added first. A well-founded result is settled
+    ({!Database.settle}) and promoted out of the minor heap: the
+    indexes the evaluation built are caught up, so the first queries
+    over it neither replay their insertion logs nor copy the model's
+    young rows. *)
 
 val maintain :
   ?config:config ->

@@ -25,9 +25,9 @@ type stats = {
       (** delta batches fanned out across the domain pool (see
           {!Parexec}; 0 under sequential evaluation) *)
   mutable order_time : float;
-      (** seconds spent ordering literals / compiling plans — on the
-          compiled path this is paid once per (rule, focus), not per
-          round. Main-domain only, hence not atomic. *)
+      (** wall-clock seconds spent ordering literals / compiling plans
+          — on the compiled path this is paid once per (rule, focus),
+          not per round. Main-domain only, hence not atomic. *)
 }
 (** Hot counters are [Atomic.t] so compiled plans may execute
     concurrently on the domain pool; all are order-independent sums, so

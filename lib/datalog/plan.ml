@@ -365,9 +365,10 @@ let lookup ?(stats = Eval.no_stats) (r : Rule.t) ~focus =
     Eval.bump stats.Eval.plan_cache_hits 1;
     plan
   | None ->
-    let t0 = Sys.time () in
+    let t0 = Unix.gettimeofday () in
     let plan = compile ?order r ~focus in
-    stats.Eval.order_time <- stats.Eval.order_time +. (Sys.time () -. t0);
+    stats.Eval.order_time <-
+      stats.Eval.order_time +. (Unix.gettimeofday () -. t0);
     C.replace cache (r, focus, order) plan;
     plan
 

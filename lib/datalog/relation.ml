@@ -98,6 +98,8 @@ let sync r idx =
 
 let ensure_synced r idx = if idx.seen < r.nlog then sync r idx
 
+let settle r = List.iter (fun idx -> ensure_synced r idx) r.indexes
+
 let add_packed r p =
   if Tuple.Hashset.add r.rows p then begin
     if r.indexes <> [] then begin
@@ -139,6 +141,12 @@ let iter_packed f r = Tuple.Hashset.iter f r.rows
 let fold_packed f r init = Tuple.Hashset.fold f r.rows init
 let iter f r = iter_packed (fun p -> f (Packed.to_list p)) r
 let fold f r init = fold_packed (fun p acc -> f (Packed.to_list p) acc) r init
+
+(* one id-keyed probe per row of [a]: the stored rows already carry
+   their intern ids and hash, so nothing is re-interned *)
+let subset a b =
+  cardinal a <= cardinal b
+  && Tuple.Hashset.for_all (fun p -> Tuple.Hashset.mem b.rows p) a.rows
 
 (* sorted for deterministic output: hash-set iteration order is not
    stable, but printed/enumerated extents should be *)

@@ -28,6 +28,10 @@ val remove : t -> Tuple.t -> bool
     Index buckets are pruned in place by physical equality on the
     canonical stored row — no structural compares. *)
 
+val subset : t -> t -> bool
+(** [subset a b]: every row of [a] is a row of [b]. Compares stored
+    rows by their intern ids, without rebuilding terms. *)
+
 val iter : (Tuple.t -> unit) -> t -> unit
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 
@@ -88,6 +92,11 @@ val warm_exact : t -> positions:int array -> unit
     call, probes through {!prober}/{!prober1} are read-only until the
     relation is next mutated — the property the parallel executor
     relies on to share a relation across domains ({!Parexec}). *)
+
+val settle : t -> unit
+(** Catch every built index up with the insertion log (which is then
+    dropped). Afterwards, lookups over indexes that already exist are
+    read-only until the relation is next mutated. *)
 
 val select : t -> pattern:Logic.Term.t list -> Tuple.t list
 (** Tuples matching the pattern (variables are wildcards, repeated

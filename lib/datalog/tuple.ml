@@ -112,5 +112,11 @@ module Hashset = struct
 
   let iter f s = H.iter (fun _ p -> f p) s
   let fold f s init = H.fold (fun _ p acc -> f p acc) s init
+
+  let for_all f s =
+    match iter (fun p -> if not (f p) then raise_notrace Exit) s with
+    | () -> true
+    | exception Exit -> false
+
   let copy = H.copy
 end

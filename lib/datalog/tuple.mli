@@ -70,5 +70,9 @@ module Hashset : sig
 
   val iter : (Packed.t -> unit) -> t -> unit
   val fold : (Packed.t -> 'a -> 'a) -> t -> 'a -> 'a
+
+  val for_all : (Packed.t -> bool) -> t -> bool
+  (** Stops at the first row that fails the test. *)
+
   val copy : t -> t
 end

@@ -16,11 +16,6 @@ let gamma ?stats ?pool ?compiled ?max_term_depth ?max_rounds rules edb i =
        rules db);
   db
 
-let db_subset a b =
-  List.for_all (fun f -> Database.mem b f) (Database.all_facts a)
-
-let db_equal a b = Database.cardinal a = Database.cardinal b && db_subset a b
-
 let compute ?stats ?pool ?compiled ?max_term_depth ?max_rounds p edb =
   let rules = Program.rules p in
   let alternations = ref 0 in
@@ -33,21 +28,21 @@ let compute ?stats ?pool ?compiled ?max_term_depth ?max_rounds p edb =
     (* invariant: under ⊆ true facts ⊆ over *)
     let under' = step over in
     let over' = step under' in
-    if db_equal under under' && db_equal over over' then (under', over')
+    if Database.equal under under' && Database.equal over over' then
+      (under', over')
     else iterate under' over'
   in
   let empty = Database.create () in
   let over0 = step empty in
   let under0 = step over0 in
   let under, over =
-    if db_equal under0 over0 then (under0, over0)
+    if Database.equal under0 over0 then (under0, over0)
     else iterate under0 over0
   in
-  let undefined = Database.create () in
-  List.iter
-    (fun f ->
-      if not (Database.mem under f) then ignore (Database.add_fact undefined f))
-    (Database.all_facts over);
-  { true_facts = under; undefined; alternations = !alternations }
+  {
+    true_facts = under;
+    undefined = Database.diff over under;
+    alternations = !alternations;
+  }
 
 let is_total m = Database.cardinal m.undefined = 0

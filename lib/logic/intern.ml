@@ -11,6 +11,7 @@ let same t1 t2 =
 
 let ids ts = List.map Term.id ts
 
-type stats = { interned : int }
+type stats = { interned : int; longest_bucket : int }
 
-let stats () = { interned = Term.pool_size () }
+let stats () =
+  { interned = Term.pool_size (); longest_bucket = Term.pool_longest_bucket () }

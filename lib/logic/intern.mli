@@ -30,6 +30,9 @@ val same : Term.t -> Term.t -> bool
 val size : unit -> int
 (** Distinct ground terms interned so far. *)
 
-type stats = { interned : int }
+type stats = {
+  interned : int;
+  longest_bucket : int;  (** see {!Term.pool_longest_bucket} *)
+}
 
 val stats : unit -> stats

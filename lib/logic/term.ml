@@ -142,7 +142,13 @@ module H = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = equal
-  let hash = Hashtbl.hash
+
+  (* [Hashtbl.hash] stops after 10 meaningful words, which a chain of
+     five nested skolem functions uses up before its innermost object:
+     all chains with the same outer functors would share one bucket
+     that grows with every new object, and interning would slow down
+     over a process's life. These limits reach depth ~30. *)
+  let hash t = Hashtbl.hash_param 60 120 t
 end)
 
 let pool : int H.t = H.create 4096
@@ -200,3 +206,6 @@ let of_id i =
   else !pool_rev.(i)
 
 let pool_size () = !pool_next
+
+let pool_longest_bucket () =
+  locked @@ fun () -> (H.stats pool).Hashtbl.max_bucket_length

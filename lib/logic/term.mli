@@ -98,6 +98,10 @@ val of_id : int -> t
 val pool_size : unit -> int
 (** Number of distinct ground terms interned so far. *)
 
+val pool_longest_bucket : unit -> int
+(** The most interned terms that share one hash bucket: an intern
+    lookup compares against up to this many terms. *)
+
 val enter_parallel : unit -> unit
 (** Enter parallel mode: until the matching {!exit_parallel}, every
     pool access ({!id}, {!find_id}, {!of_id}) synchronizes on a mutex

@@ -21,7 +21,7 @@ type outcome = {
   per_location : (string * float) list;  (** flat sums, no rollup *)
   sources_contacted : string list;
   tuples_moved : int;
-  duration_ms : float;
+  duration_ms : float;  (** wall clock *)
 }
 
 val calcium_binding_query :

@@ -708,9 +708,10 @@ let materialize t =
         | Error _ ->
           (* unstratified (default inheritance, or domain-map axioms in
              assertion mode, entangle negation with recursion):
-             well-founded fallback, no incremental handle *)
+             well-founded fallback over the program compiled above, no
+             incremental handle *)
           t.maint <- None;
-          Flogic.Fl_program.run
+          Datalog.Engine.materialize
             ~config:
               {
                 Datalog.Engine.default_config with
@@ -718,7 +719,8 @@ let materialize t =
                 minimize;
                 domains = t.cfg.domains;
               }
-            p)
+            dp
+            (Datalog.Database.create ()))
     in
     t.cstats <- { t.cstats with rebuilt = t.cstats.rebuilt + 1 };
     t.cache <- Some db;

@@ -106,9 +106,9 @@ let total_meter med =
     0 (Mediator.sources med)
 
 let timed f =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let y = f () in
-  (y, (Sys.time () -. t0) *. 1000.0)
+  (y, (Unix.gettimeofday () -. t0) *. 1000.0)
 
 (* The widest traversal root: used when the lub optimisation is off
    ("forcing the mediator to provide a reasonable root" degenerates to

@@ -42,7 +42,7 @@ val default_spec : spec
 
 type step_report = {
   label : string;
-  duration_ms : float;
+  duration_ms : float;  (** wall clock *)
   tuples : int;      (** tuples shipped from wrappers in this step *)
   note : string;
 }

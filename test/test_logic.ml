@@ -49,6 +49,28 @@ let test_const_ordering () =
   Alcotest.(check bool) "int < float" true
     (compare_const (Int 99) (Float 0.1) < 0)
 
+(* Skolem chains that differ only in their innermost object (as
+   assertion-mode domain-map axioms build them) must not share a pool
+   bucket, or every new object makes interning slower. *)
+let test_intern_deep_chains () =
+  let chain k =
+    List.fold_left
+      (fun t fn -> f fn [ t ])
+      (s (Printf.sprintf "chain_obj_%d" k))
+      [ "f_e"; "f_d"; "f_c"; "f_b"; "f_a" ]
+  in
+  let before = (Intern.stats ()).longest_bucket in
+  let ids = List.init 1000 (fun k -> Term.id (chain k)) in
+  Alcotest.(check int) "distinct ids" 1000
+    (List.length (List.sort_uniq Int.compare ids));
+  Alcotest.(check bool) "ids read back" true
+    (List.for_all2 (fun k i -> Term.equal (Term.of_id i) (chain k))
+       (List.init 1000 Fun.id) ids);
+  let after = (Intern.stats ()).longest_bucket in
+  Alcotest.(check bool)
+    (Printf.sprintf "longest bucket %d -> %d" before after)
+    true (after < before + 50)
+
 (* -------------------------------------------------------------------- *)
 (* Substitution tests *)
 
@@ -330,6 +352,7 @@ let suites =
         Alcotest.test_case "depth/size" `Quick test_term_depth_size;
         Alcotest.test_case "empty app" `Quick test_term_app_empty;
         Alcotest.test_case "const ordering" `Quick test_const_ordering;
+        Alcotest.test_case "intern deep chains" `Quick test_intern_deep_chains;
       ] );
     ( "logic.subst",
       [

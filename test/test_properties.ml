@@ -210,10 +210,11 @@ let prop_aggregate_reference =
         groups)
 
 (* Relation against a reference set: random interleavings of
-   add/remove/lookup/select must agree with a list model at every step.
-   Lookups force the lazy per-position indexes into existence, so the
-   removes and adds that follow them exercise the in-place index
-   maintenance (a remove used to invalidate; now it edits buckets). *)
+   add/remove/lookup/select/settle must agree with a list model at
+   every step. Lookups force the lazy per-position indexes into
+   existence, so the removes and adds that follow them exercise the
+   in-place index maintenance (a remove used to invalidate; now it
+   edits buckets), and a settle replays the pending insertion log. *)
 let prop_relation_model =
   let open QCheck in
   let gen_op =
@@ -224,6 +225,7 @@ let prop_relation_model =
           map2 (fun i j -> `Remove (i, j)) (int_bound 5) (int_bound 5);
           map2 (fun pos k -> `Lookup (pos, k)) (int_bound 1) (int_bound 5);
           map2 (fun k w -> `Select (k, w)) (int_bound 5) (int_bound 2);
+          return `Settle;
         ])
   in
   Test.make ~name:"Relation agrees with a reference set under interleaved ops"
@@ -268,10 +270,173 @@ let prop_relation_model =
               | _ -> [ Term.var "V"; Term.var "V" ] (* repeated var: no match *)
             in
             sorted (R.select r ~pattern)
-            = sorted (List.filter (matches pattern) !model))
+            = sorted (List.filter (matches pattern) !model)
+          | `Settle ->
+            (* catch the built indexes up; later ops check that lookups
+               over them still agree with the model *)
+            R.settle r;
+            true)
         ops
       && R.cardinal r = List.length !model
       && sorted (R.to_list r) = sorted !model)
+
+(* Database set operations on packed rows against sorted fact lists.
+   A database is built from adds, removes and bare touches of a
+   relation, so touched-but-emptied relations occur on both sides; the
+   second database is either drawn independently or the first one with
+   a few more ops (often the same facts, reached another way). *)
+let prop_database_set_ops =
+  let open QCheck in
+  let module D = Datalog.Database in
+  let open Logic in
+  let gen_op =
+    Gen.(
+      oneof
+        [
+          map3
+            (fun p i j -> `Add (p, i, j))
+            (int_bound 2) (int_bound 2) (int_bound 2);
+          map3
+            (fun p i j -> `Remove (p, i, j))
+            (int_bound 2) (int_bound 2) (int_bound 2);
+          map (fun p -> `Touch p) (int_bound 2);
+        ])
+  in
+  let gen_ops n = Gen.(list_size (int_range 0 n) gen_op) in
+  let gen_pair =
+    Gen.(
+      gen_ops 16 >>= fun a ->
+      oneof
+        [
+          map (fun b -> (a, b)) (gen_ops 16);
+          map (fun extra -> (a, a @ extra)) (gen_ops 3);
+        ])
+  in
+  let show_op = function
+    | `Add (p, i, j) -> Printf.sprintf "+%d(%d,%d)" p i j
+    | `Remove (p, i, j) -> Printf.sprintf "-%d(%d,%d)" p i j
+    | `Touch p -> Printf.sprintf "touch %d" p
+  in
+  let show ops = String.concat " " (List.map show_op ops) in
+  (* predicate 2 is unary, so arities differ across relations *)
+  let fact p i j =
+    match p with
+    | 2 -> Atom.make "r" [ Term.int i ]
+    | _ ->
+      Atom.make
+        (if p = 0 then "p" else "q")
+        [ Term.sym (Printf.sprintf "c%d" i); Term.int j ]
+  in
+  let build ops =
+    let db = D.create () in
+    List.iter
+      (function
+        | `Add (p, i, j) -> ignore (D.add_fact db (fact p i j))
+        | `Remove (p, i, j) -> ignore (D.remove_fact db (fact p i j))
+        | `Touch p -> ignore (D.relation db (fact p 0 0).Atom.pred))
+      ops;
+    db
+  in
+  Test.make ~name:"Database equal/diff agree with sorted fact lists"
+    ~count:300
+    (make ~print:(fun (a, b) -> show a ^ " | " ^ show b) gen_pair)
+    (fun (ops_a, ops_b) ->
+      let a = build ops_a and b = build ops_b in
+      let fa = D.all_facts a and fb = D.all_facts b in
+      let same = List.equal Atom.equal in
+      let minus xs ys =
+        List.filter (fun x -> not (List.exists (Atom.equal x) ys)) xs
+      in
+      D.equal a b = same fa fb
+      && D.equal b a = same fa fb
+      && same (D.all_facts (D.diff a b)) (minus fa fb)
+      && same (D.all_facts (D.diff b a)) (minus fb fa))
+
+(* The well-founded model of win(X) :- move(X,Y), not win(Y) against
+   retrograde game labelling on random move graphs (self-loops and
+   cycles allowed): a node with a move to a lost node is won, a node
+   whose moves all reach won nodes (none included) is lost, and every
+   node the labelling never settles is drawn. Won must be exactly the
+   true win facts, drawn exactly the undefined ones, and
+   [Engine.materialize] must raise [Undefined_atoms] iff a node is
+   drawn. *)
+let prop_wellfounded_game =
+  let open QCheck in
+  let open Logic in
+  let gen =
+    Gen.(
+      int_range 2 12 >>= fun n ->
+      let node = int_bound (n - 1) in
+      map
+        (fun es -> (n, List.sort_uniq compare es))
+        (list_size (int_bound (3 * n)) (pair node node)))
+  in
+  let print (n, es) =
+    Printf.sprintf "%d nodes: %s" n
+      (String.concat " "
+         (List.map (fun (x, y) -> Printf.sprintf "%d->%d" x y) es))
+  in
+  let node i = Term.sym (Printf.sprintf "n%d" i) in
+  let win i = Atom.make "win" [ node i ] in
+  Test.make ~name:"well-founded win-move matches retrograde labelling"
+    ~count:200
+    (make ~print gen)
+    (fun (n, es) ->
+      (* 1 = won, -1 = lost, 0 = not labelled yet *)
+      let label = Array.make n 0 in
+      let moves x =
+        List.filter_map (fun (a, b) -> if a = x then Some b else None) es
+      in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        for x = 0 to n - 1 do
+          if label.(x) = 0 then begin
+            let ys = moves x in
+            let l =
+              if List.exists (fun y -> label.(y) = -1) ys then 1
+              else if List.for_all (fun y -> label.(y) = 1) ys then -1
+              else 0
+            in
+            if l <> 0 then begin
+              label.(x) <- l;
+              changed := true
+            end
+          end
+        done
+      done;
+      let nodes_with l =
+        List.filter (fun x -> label.(x) = l) (List.init n Fun.id)
+      in
+      let won = nodes_with 1 and drawn = nodes_with 0 in
+      let expect xs = List.sort Atom.compare (List.map win xs) in
+      let p =
+        Datalog.Program.make_exn
+          (List.map
+             (fun (x, y) -> Rule.fact (Atom.make "move" [ node x; node y ]))
+             es
+          @ [
+              Rule.make
+                (Atom.make "win" [ Term.var "X" ])
+                [
+                  Literal.pos "move" [ Term.var "X"; Term.var "Y" ];
+                  Literal.neg "win" [ Term.var "Y" ];
+                ];
+            ])
+      in
+      let facts, rules = Datalog.Program.split_facts p in
+      let m =
+        Datalog.Wellfounded.compute rules (Datalog.Database.of_facts facts)
+      in
+      let module D = Datalog.Database in
+      let same = List.equal Atom.equal in
+      same (D.facts m.Datalog.Wellfounded.true_facts "win") (expect won)
+      && same (D.all_facts m.Datalog.Wellfounded.undefined) (expect drawn)
+      &&
+      match Datalog.Engine.materialize p (D.create ()) with
+      | db -> drawn = [] && same (D.facts db "win") (expect won)
+      | exception Datalog.Engine.Undefined_atoms k ->
+        drawn <> [] && k = List.length drawn)
 
 (* One explicit seed threads every generator here; KIND_QCHECK_SEED
    replays a failing run exactly (the suite name carries the seed). *)
@@ -296,5 +461,7 @@ let suites =
           prop_el_monotone;
           prop_aggregate_reference;
           prop_relation_model;
+          prop_database_set_ops;
+          prop_wellfounded_game;
         ] );
   ]
