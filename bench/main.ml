@@ -35,8 +35,6 @@ let experiments =
     ("cost-smoke", "cost-oracle regression gate (self-contained)", Exp_cost.smoke);
     ("contain", "semantic minimization: minimized vs original programs", Exp_contain.run);
     ("contain-smoke", "minimization regression gate (self-contained)", Exp_contain.smoke);
-    ("par", "domain-parallel joins + concurrent gather at 1/2/4 domains", Exp_parallel.run);
-    ("par-smoke", "parallel-evaluation gate (self-contained, core-aware)", Exp_parallel.smoke);
     ("recovery", "crash recovery: checkpoint + WAL replay vs cold rebuild", Exp_recovery.run);
     ("recovery-smoke", "recovery gate: replay beats cold rebuild (self-contained)", Exp_recovery.smoke);
     ("micro", "Bechamel micro-benchmarks", Micro.run);
@@ -53,7 +51,7 @@ let () =
       List.filter_map
         (fun (id, _, _) ->
           if id = "join-smoke" || id = "cost-smoke" || id = "contain-smoke"
-             || id = "par-smoke" || id = "recovery-smoke"
+             || id = "recovery-smoke"
           then None
           else Some id)
         experiments

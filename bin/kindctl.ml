@@ -26,22 +26,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* --domains N: the single parallelism hook for every layer. Setting
-   the pool default overrides KIND_DOMAINS, and every component whose
-   config leaves domains at 0 (engine, maintenance handle, mediator
-   gather) resolves its worker count through [Pool.env_domains]. *)
-let domains_t =
-  let doc =
-    "Worker domains for parallel evaluation: semi-naive joins, \
-     maintenance propagation and the federation gather all fan out \
-     across $(docv) domains. Overrides $(b,KIND_DOMAINS); 1 forces \
-     sequential evaluation (the default when neither is given)."
-  in
-  let set = function Some n -> Pool.set_default_domains n | None -> () in
-  Term.(
-    const set
-    $ Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc))
-
 let pp_answers lits answers =
   let vars =
     List.concat_map
@@ -144,7 +128,7 @@ let run_cmd =
         goals;
       0
   in
-  let run () file query engine =
+  let run file query engine =
     match Flogic.Fl_parser.parse_program (read_file file) with
     | Error e ->
       prerr_endline e;
@@ -190,7 +174,7 @@ let run_cmd =
           0)
   in
   Cmd.v (Cmd.info "run" ~doc:"evaluate an F-logic program and answer its queries")
-    Term.(const run $ domains_t $ file $ query $ engine)
+    Term.(const run $ file $ query $ engine)
 
 (* ------------------------------------------------------------------ *)
 (* check *)
@@ -199,7 +183,7 @@ let check_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"F-logic program")
   in
-  let run () file =
+  let run file =
     match Flogic.Fl_parser.parse_program (read_file file) with
     | Error e ->
       prerr_endline e;
@@ -225,7 +209,7 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check" ~doc:"audit an F-logic program for integrity violations")
-    Term.(const run $ domains_t $ file)
+    Term.(const run $ file)
 
 (* ------------------------------------------------------------------ *)
 (* lint *)
@@ -988,7 +972,7 @@ let query_cmd =
   let scale =
     Arg.(value & opt int 50 & info [ "scale" ] ~docv:"N" ~doc:"rows per class")
   in
-  let run () goal scale =
+  let run goal scale =
     let med =
       Neuro.Sources.standard_mediator { Neuro.Sources.seed = 42; scale }
     in
@@ -1009,7 +993,7 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query"
        ~doc:"plan and run a federated conjunctive query over the demo sources")
-    Term.(const run $ domains_t $ goal $ scale)
+    Term.(const run $ goal $ scale)
 
 (* ------------------------------------------------------------------ *)
 (* demo *)
@@ -1022,7 +1006,7 @@ let demo_cmd =
   let no_index = Arg.(value & flag & info [ "no-index" ] ~doc:"disable the semantic index") in
   let no_push = Arg.(value & flag & info [ "no-pushdown" ] ~doc:"disable selection pushdown") in
   let no_lub = Arg.(value & flag & info [ "no-lub" ] ~doc:"use the whole-map root") in
-  let run () scale seed no_index no_push no_lub =
+  let run scale seed no_index no_push no_lub =
     let config =
       {
         Mediation.Mediator.default_config with
@@ -1047,7 +1031,7 @@ let demo_cmd =
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"the Section 5 calcium-binding-protein walk-through")
-    Term.(const run $ domains_t $ scale $ seed $ no_index $ no_push $ no_lub)
+    Term.(const run $ scale $ seed $ no_index $ no_push $ no_lub)
 
 (* ------------------------------------------------------------------ *)
 (* maintain: a live update stream against the materialized mediator *)
@@ -1075,7 +1059,7 @@ let maintain_cmd =
                  inheritance off) keeps the materialization stratified \
                  and maintainable")
   in
-  let run () scale seed updates goal assertion =
+  let run scale seed updates goal assertion =
     let config =
       if assertion then Mediation.Mediator.default_config
       else
@@ -1164,7 +1148,7 @@ let maintain_cmd =
     (Cmd.info "maintain"
        ~doc:"stream source updates into a live materialization and report \
              maintenance + cache statistics")
-    Term.(const run $ domains_t $ scale $ seed $ updates $ goal $ assertion)
+    Term.(const run $ scale $ seed $ updates $ goal $ assertion)
 
 (* ------------------------------------------------------------------ *)
 (* health: the fault-tolerance runtime over the demo federation *)
@@ -1196,7 +1180,7 @@ let health_cmd =
     Arg.(value & opt string "X : spine, X[diameter ->> D], D > 0.6"
            & info [ "q"; "query" ] ~docv:"GOAL")
   in
-  let run () scale seed faults revives goal =
+  let run scale seed faults revives goal =
     let module F = Wrapper.Fault in
     let module M = Mediation.Mediator in
     let module R = Mediation.Runtime in
@@ -1310,7 +1294,7 @@ let health_cmd =
     (Cmd.info "health"
        ~doc:"query the demo federation under injected faults and report \
              per-source breaker state, completeness and degradation")
-    Term.(const run $ domains_t $ scale $ seed $ faults $ revives $ goal)
+    Term.(const run $ scale $ seed $ faults $ revives $ goal)
 
 (* ------------------------------------------------------------------ *)
 (* checkpoint / recover / wal-status: the durability surface over the
@@ -1337,7 +1321,7 @@ let checkpoint_cmd =
            ~doc:"source updates to stream (and log to the WAL) after the \
                  checkpoint, so a later $(b,recover) has a suffix to replay")
   in
-  let run () dir scale seed updates =
+  let run dir scale seed updates =
     let med =
       Neuro.Sources.standard_mediator
         ~config:
@@ -1380,7 +1364,7 @@ let checkpoint_cmd =
     (Cmd.info "checkpoint"
        ~doc:"materialize the demo federation and write a durable checkpoint \
              (engine snapshot + federation state, WAL compacted)")
-    Term.(const run $ domains_t $ dir_t $ demo_scale $ demo_seed $ updates)
+    Term.(const run $ dir_t $ demo_scale $ demo_seed $ updates)
 
 let recover_cmd =
   let goal =
@@ -1388,7 +1372,7 @@ let recover_cmd =
            & info [ "q"; "query" ] ~docv:"GOAL"
              ~doc:"query answered from the recovered materialization")
   in
-  let run () dir scale seed goal =
+  let run dir scale seed goal =
     (* the topology is re-registered from the same generator parameters;
        recover then adopts the checkpointed database instead of
        gathering from the sources *)
@@ -1428,10 +1412,10 @@ let recover_cmd =
     (Cmd.info "recover"
        ~doc:"rebuild the demo federation from a durable checkpoint and its \
              WAL suffix, then answer a query")
-    Term.(const run $ domains_t $ dir_t $ demo_scale $ demo_seed $ goal)
+    Term.(const run $ dir_t $ demo_scale $ demo_seed $ goal)
 
 let wal_status_cmd =
-  let run () dir =
+  let run dir =
     match Datalog.Store.resolve (store_of dir) with
     | None ->
       prerr_endline "wal-status: pass --dir or set KIND_DURABLE_DIR";
@@ -1491,7 +1475,7 @@ let wal_status_cmd =
     (Cmd.info "wal-status"
        ~doc:"inspect a durability directory: checkpoint size, WAL batches \
              and torn-tail state, federation breaker ledger")
-    Term.(const run $ domains_t $ dir_t)
+    Term.(const run $ dir_t)
 
 let () =
   let info =

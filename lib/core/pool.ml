@@ -1,231 +1,1 @@
-(* A small fixed-size domain pool for data-parallel evaluation.
-
-   Design constraints (DESIGN.md §13):
-   - no dependencies beyond the OCaml 5 stdlib ([Domain], [Mutex],
-     [Condition], [Atomic]) and [Unix] (the wall-clock deadline of the
-     bounded shutdown);
-   - deterministic result order: [run_list] returns results in
-     submission order regardless of which worker ran which task;
-   - exception propagation: the first (by submission index) exception
-     raised by a task is re-raised on the caller with its original
-     backtrace, after all tasks of the batch have finished;
-   - sequential fallback: a pool of size <= 1 never spawns domains and
-     [run_list] degenerates to [List.map]; nested [run_list] calls
-     from inside a task also run inline (no deadlock, no oversubscription);
-   - interning safety: batch execution is bracketed by
-     [Logic.Term.enter_parallel]/[exit_parallel] so the global term
-     intern pool takes its mutex only while workers are live. *)
-
-type t = {
-  size : int; (* lanes including the caller's domain *)
-  queue : (unit -> unit) Queue.t;
-  mu : Mutex.t;
-  work : Condition.t; (* signaled when tasks are queued or on stop *)
-  finished : Condition.t; (* signaled when a batch drains *)
-  mutable stop : bool;
-  mutable workers : unit Domain.t list;
-  busy : bool Atomic.t; (* a batch is in flight: nested calls run inline *)
-  live : int Atomic.t; (* workers that have not exited their loop yet *)
-}
-
-let size t = t.size
-
-let worker_loop t =
-  let rec loop () =
-    Mutex.lock t.mu;
-    while (not t.stop) && Queue.is_empty t.queue do
-      Condition.wait t.work t.mu
-    done;
-    if t.stop && Queue.is_empty t.queue then Mutex.unlock t.mu
-    else begin
-      let task = Queue.pop t.queue in
-      Mutex.unlock t.mu;
-      task ();
-      loop ()
-    end
-  in
-  (* the decrement must run even if a task escapes with an exception:
-     the bounded shutdown below keys off [live], and a worker that died
-     raising would otherwise count as running forever *)
-  Fun.protect ~finally:(fun () -> Atomic.decr t.live) loop
-
-let create size =
-  let size = max 1 size in
-  let t =
-    {
-      size;
-      queue = Queue.create ();
-      mu = Mutex.create ();
-      work = Condition.create ();
-      finished = Condition.create ();
-      stop = false;
-      workers = [];
-      busy = Atomic.make false;
-      live = Atomic.make 0;
-    }
-  in
-  if size > 1 then begin
-    Atomic.set t.live (size - 1);
-    t.workers <-
-      List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t))
-  end;
-  t
-
-let shutdown ?deadline t =
-  if t.workers <> [] then begin
-    Mutex.lock t.mu;
-    t.stop <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mu;
-    match deadline with
-    | None ->
-      List.iter Domain.join t.workers;
-      t.workers <- []
-    | Some secs ->
-      (* bounded join: a worker wedged in a task (or dead of an
-         exception that wedged its batch) must not hang process exit.
-         Wait for every loop to confirm exit, then join — joins are
-         then immediate — or give up at the deadline and report the
-         stragglers instead of blocking on them. *)
-      let until = Unix.gettimeofday () +. secs in
-      let rec wait () =
-        if Atomic.get t.live <= 0 then begin
-          (* every loop has exited, so these joins return immediately;
-             a worker that died raising re-raises here — report it
-             instead of blowing up process exit *)
-          let died = ref 0 in
-          List.iter
-            (fun d -> try Domain.join d with _ -> incr died)
-            t.workers;
-          t.workers <- [];
-          if !died > 0 then
-            Printf.eprintf
-              "Pool.shutdown: %d worker domain(s) exited with an uncaught \
-               exception\n%!"
-              !died
-        end
-        else if Unix.gettimeofday () >= until then
-          Printf.eprintf
-            "Pool.shutdown: %d worker domain(s) still running %.1fs after \
-             stop; abandoning them (not joined)\n%!"
-            (Atomic.get t.live) secs
-        else begin
-          ignore (Unix.select [] [] [] 0.001);
-          wait ()
-        end
-      in
-      wait ()
-  end
-
-(* [run_list] executes the thunks across the pool (the caller's domain
-   participates), returning results in submission order. Tasks are
-   claimed from a shared atomic cursor, i.e. chunk-of-one scheduling:
-   batches here are few and coarse (one task per delta partition), so
-   finer chunking buys nothing. *)
-let run_list (type a) t (thunks : (unit -> a) list) : a list =
-  match thunks with
-  | [] -> []
-  | [ f ] -> [ f () ]
-  | _ when t.size <= 1 || not (Atomic.compare_and_set t.busy false true) ->
-    (* size-1 pool, or re-entrant call from inside a task: run inline *)
-    List.map (fun f -> f ()) thunks
-  | _ ->
-    let finally () = Atomic.set t.busy false in
-    Fun.protect ~finally @@ fun () ->
-    Logic.Term.enter_parallel ();
-    let finally () = Logic.Term.exit_parallel () in
-    Fun.protect ~finally @@ fun () ->
-    let arr = Array.of_list thunks in
-    let n = Array.length arr in
-    let results : a option array = Array.make n None in
-    let errors : (exn * Printexc.raw_backtrace) option array =
-      Array.make n None
-    in
-    let next = Atomic.make 0 in
-    let remaining = Atomic.make n in
-    let run_one i =
-      (match arr.(i) () with
-      | v -> results.(i) <- Some v
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        errors.(i) <- Some (e, bt));
-      if Atomic.fetch_and_add remaining (-1) = 1 then begin
-        Mutex.lock t.mu;
-        Condition.broadcast t.finished;
-        Mutex.unlock t.mu
-      end
-    in
-    let rec drain () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        run_one i;
-        drain ()
-      end
-    in
-    let helpers = min (t.size - 1) (n - 1) in
-    Mutex.lock t.mu;
-    for _ = 1 to helpers do
-      Queue.push drain t.queue
-    done;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mu;
-    (* the caller's domain drains alongside the workers, then waits for
-       stragglers: the condition sync also publishes the workers' writes
-       to [results]/[errors]. *)
-    drain ();
-    Mutex.lock t.mu;
-    while Atomic.get remaining > 0 do
-      Condition.wait t.finished t.mu
-    done;
-    Mutex.unlock t.mu;
-    Array.iter
-      (function
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
-      errors;
-    List.init n (fun i ->
-        match results.(i) with
-        | Some v -> v
-        | None -> assert false (* no error above => every slot filled *))
-
-(* ------------------------------------------------------------------ *)
-(* Default domain count: explicit override > KIND_DOMAINS env > 1.     *)
-
-let env_parsed =
-  lazy
-    (match Sys.getenv_opt "KIND_DOMAINS" with
-    | None | Some "" -> None
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some (min n 64)
-      | _ -> None))
-
-let default_override = ref None
-let set_default_domains n = default_override := Some (max 1 (min n 64))
-
-let env_domains () =
-  match !default_override with
-  | Some n -> n
-  | None -> ( match Lazy.force env_parsed with Some n -> n | None -> 1)
-
-(* ------------------------------------------------------------------ *)
-(* Shared pool: grown on demand, reused across evaluations so repeated
-   materializations don't pay domain-spawn latency each time. *)
-
-let shared : t option ref = ref None
-
-let get n =
-  if n <= 1 then None
-  else
-    match !shared with
-    | Some p when p.size >= n -> Some p
-    | prev ->
-      (match prev with Some p -> shutdown p | None -> ());
-      let p = create n in
-      shared := Some p;
-      Some p
-
-let () =
-  (* bounded: a wedged worker (or one that died raising mid-batch) must
-     not turn process exit into a hang *)
-  at_exit (fun () ->
-      match !shared with Some p -> shutdown ~deadline:2.0 p | None -> ())
+let env_domains () = 1

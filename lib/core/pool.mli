@@ -1,53 +1,3 @@
-(** A small fixed-size domain pool for data-parallel evaluation.
-
-    The pool owns [size - 1] worker domains; the caller's domain
-    always participates in batch execution, so a pool of size [k]
-    runs up to [k] tasks concurrently. A pool of size [<= 1] spawns
-    nothing and executes batches inline — the sequential fallback the
-    engine relies on when [KIND_DOMAINS] is unset.
-
-    Batches submitted from inside a running task (re-entrant use) are
-    executed inline on the submitting domain, so nesting cannot
-    deadlock the fixed worker set. *)
-
-type t
-
-val create : int -> t
-(** [create k] makes a pool with [k] lanes ([k - 1] spawned domains).
-    [k] is clamped to at least 1. *)
-
-val size : t -> int
-(** Number of lanes, including the caller's. *)
-
-val run_list : t -> (unit -> 'a) list -> 'a list
-(** [run_list t thunks] runs every thunk to completion across the pool
-    and returns their results in submission order. If one or more
-    thunks raise, all tasks of the batch still run to completion, then
-    the exception of the lowest-indexed failing thunk is re-raised
-    with its original backtrace. Batch execution is bracketed by
-    {!Logic.Term.enter_parallel}/[exit_parallel] so term interning is
-    safe inside tasks. *)
-
-val shutdown : ?deadline:float -> t -> unit
-(** Stop and join the worker domains. Idempotent. With [?deadline]
-    (seconds) the join is bounded: workers are given that long to exit
-    their loops, and any still running — wedged in a task, or dead of
-    an exception that stranded their batch — are reported to stderr
-    and abandoned instead of blocking the caller; a later [shutdown]
-    without a deadline can still join them. The process-exit hook
-    joins the shared pool with a 2 s deadline. *)
-
 val env_domains : unit -> int
-(** The default domain count: the value set by {!set_default_domains}
-    if any, else [KIND_DOMAINS] from the environment (clamped to
-    [1..64]), else [1]. *)
-
-val set_default_domains : int -> unit
-(** Override the [KIND_DOMAINS] default for this process (used by
-    [kindctl --domains]). *)
-
-val get : int -> t option
-(** [get n] returns the shared process-wide pool grown to at least [n]
-    lanes, or [None] when [n <= 1] (callers take the sequential
-    path). The shared pool is reused across evaluations and joined at
-    process exit. *)
+(** Always [1]: evaluation is single-domain. Kept because medbench
+    records it in its run metadata. *)

@@ -22,7 +22,6 @@ type config = {
   prune : (Logic.Rule.t list -> Database.t -> Logic.Rule.t list) option;
   minimize : (Logic.Rule.t list -> Logic.Rule.t list) option;
   cost_oracle : cost_oracle option;
-  domains : int;
   durability : durability option;
 }
 
@@ -36,18 +35,8 @@ let default_config =
     prune = None;
     minimize = None;
     cost_oracle = None;
-    domains = 0;
     durability = None;
   }
-
-let effective_domains config =
-  if config.domains > 0 then min config.domains 64 else Pool.env_domains ()
-
-(* Parallel evaluation needs the compiled-plan kernel (the interpreted
-   path shares no partitionable delta representation), so the pool is
-   only engaged when both are on. *)
-let pool_of config =
-  if config.compiled_plans then Pool.get (effective_domains config) else None
 
 exception Unstratified of string list
 exception Undefined_atoms of int
@@ -68,8 +57,6 @@ type report = {
   atoms_minimized : int;
   cost_oracle_used : int;
   est_vs_actual : float;
-  domains_used : int;
-  parallel_batches : int;
   checkpoint_ms : float;
   recovery_ms : float;
   wal_bytes : int;
@@ -92,8 +79,6 @@ let empty_report =
     atoms_minimized = 0;
     cost_oracle_used = 0;
     est_vs_actual = 0.0;
-    domains_used = 1;
-    parallel_batches = 0;
     checkpoint_ms = 0.0;
     recovery_ms = 0.0;
     wal_bytes = 0;
@@ -118,11 +103,11 @@ let est_vs_actual_of (o : cost_oracle) db =
   in
   if n = 0 then 0.0 else exp (logs /. float_of_int n)
 
-let run_stratum config ?pool stats rules db =
+let run_stratum config stats rules db =
   match config.strategy with
   | Seminaive ->
     let o =
-      Seminaive.run ~stats ?pool ~compiled:config.compiled_plans
+      Seminaive.run ~stats ~compiled:config.compiled_plans
         ~max_term_depth:config.max_term_depth ~max_rounds:config.max_rounds
         ~neg:db rules db
     in
@@ -136,7 +121,6 @@ let run_stratum config ?pool stats rules db =
 
 let materialize ?(config = default_config) ?report p edb =
   let stats = Eval.new_stats () in
-  let pool = pool_of config in
   let durable = Store.resolve config.durability in
   let facts, p = Program.split_facts p in
   let db = Database.copy edb in
@@ -180,22 +164,19 @@ let materialize ?(config = default_config) ?report p edb =
           rounds;
           derived;
           skolems_suppressed = skolems;
-          joins = Atomic.get stats.Eval.joins;
-          tuples_scanned = Atomic.get stats.Eval.tuples_scanned;
-          index_hits = Atomic.get stats.Eval.index_hits;
-          plan_cache_hits = Atomic.get stats.Eval.plan_cache_hits;
+          joins = stats.Eval.joins;
+          tuples_scanned = stats.Eval.tuples_scanned;
+          index_hits = stats.Eval.index_hits;
+          plan_cache_hits = stats.Eval.plan_cache_hits;
           strata_skipped = 0;
           delta_facts = 0;
           rules_pruned = pruned;
           atoms_minimized = minimized;
-          cost_oracle_used = Atomic.get stats.Eval.cost_oracle_used;
+          cost_oracle_used = stats.Eval.cost_oracle_used;
           est_vs_actual =
             (match config.cost_oracle with
             | None -> 0.0
             | Some o -> est_vs_actual_of o result);
-          domains_used =
-            (match pool with Some p -> Pool.size p | None -> 1);
-          parallel_batches = Atomic.get stats.Eval.parallel_batches;
           checkpoint_ms;
           recovery_ms = 0.0;
           wal_bytes;
@@ -208,7 +189,7 @@ let materialize ?(config = default_config) ?report p edb =
       List.iter
         (fun rules ->
           if rules <> [] then begin
-            let r, d, s = run_stratum config ?pool stats rules db in
+            let r, d, s = run_stratum config stats rules db in
             rounds := !rounds + r;
             derived := !derived + d;
             skolems := !skolems + s
@@ -239,7 +220,7 @@ let materialize ?(config = default_config) ?report p edb =
     | Error cycle ->
       if not config.allow_wellfounded_fallback then raise (Unstratified cycle);
       let model =
-        Wellfounded.compute ~stats ?pool ~compiled:config.compiled_plans
+        Wellfounded.compute ~stats ~compiled:config.compiled_plans
           ~max_term_depth:config.max_term_depth ~max_rounds:config.max_rounds
           p db
       in
@@ -272,9 +253,8 @@ let materialize ?(config = default_config) ?report p edb =
   | Some o -> Plan.with_oracle o.order eval
 
 let maintain ?(config = default_config) ?report p db delta =
-  let pool = pool_of config in
   match
-    Maintain.of_materialized ?pool ~max_term_depth:config.max_term_depth
+    Maintain.of_materialized ~max_term_depth:config.max_term_depth
       ~max_rounds:config.max_rounds ~compiled:config.compiled_plans p db
   with
   | Error e -> Error e
@@ -302,9 +282,6 @@ let maintain ?(config = default_config) ?report p db delta =
             atoms_minimized = 0;
             cost_oracle_used = 0;
             est_vs_actual = 0.0;
-            domains_used =
-              (match pool with Some p -> Pool.size p | None -> 1);
-            parallel_batches = rep.Maintain.parallel_batches;
             checkpoint_ms;
             recovery_ms = 0.0;
             wal_bytes;
@@ -322,9 +299,9 @@ let recover ?(config = default_config) ?report p =
     (* a one-shot handle: only the indexes the replayed delta probes
        get built *)
     let adopt ~edb db =
-      Maintain.of_materialized ?pool:(pool_of config)
-        ~max_term_depth:config.max_term_depth ~max_rounds:config.max_rounds
-        ~compiled:config.compiled_plans ~edb ~prewarm:false p db
+      Maintain.of_materialized ~max_term_depth:config.max_term_depth
+        ~max_rounds:config.max_rounds ~compiled:config.compiled_plans ~edb
+        ~prewarm:false p db
     in
     match Store.recover d ~adopt with
     | Error e -> Error ("Engine.recover: " ^ e)

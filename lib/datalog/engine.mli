@@ -75,16 +75,6 @@ type config = {
           analysis-derived literal orders, and the report gains
           [cost_oracle_used] / [est_vs_actual]. Same wiring inversion
           as [prune]: the analysis library builds the closures. *)
-  domains : int;
-      (** domains for parallel evaluation: [0] (the default) reads
-          [KIND_DOMAINS] from the environment (see {!Pool.env_domains}),
-          [1] forces sequential evaluation, [n > 1] evaluates delta
-          batches on a shared [n]-lane domain pool. Parallel and
-          sequential evaluation produce identical databases and
-          identical report counters (see DESIGN.md §13); only
-          [domains_used] / [parallel_batches] differ. Requires
-          [compiled_plans]; the interpreted path is always
-          sequential. *)
   durability : durability option;
       (** when set, {!materialize} writes a checkpoint of the stratified
           result ({!Store.checkpoint}), {!maintain} commits each batch
@@ -140,13 +130,6 @@ type report = {
           extent) over the predicates the oracle bounds: 1.0 = exact,
           10.0 = an order of magnitude over-estimated; 0.0 = no oracle
           installed or nothing finite to compare *)
-  domains_used : int;
-      (** lanes of the domain pool engaged for this evaluation (1 =
-          sequential) *)
-  parallel_batches : int;
-      (** delta batches fanned out across the pool (0 = everything ran
-          sequentially, e.g. deltas below the {!Parexec.min_rows}
-          threshold) *)
   checkpoint_ms : float;
       (** wall time spent writing a checkpoint this call (0.0 when
           durability is off or nothing was checkpointed) *)

@@ -6,28 +6,25 @@ module Unify = Logic.Unify
 module Rule = Logic.Rule
 
 type stats = {
-  joins : int Atomic.t;
-  tuples_scanned : int Atomic.t;
-  index_hits : int Atomic.t;
-  plan_cache_hits : int Atomic.t;
-  cost_oracle_used : int Atomic.t;
-  parallel_batches : int Atomic.t;
+  mutable joins : int;
+  mutable tuples_scanned : int;
+  mutable index_hits : int;
+  mutable plan_cache_hits : int;
+  mutable cost_oracle_used : int;
   mutable order_time : float;
 }
 
 let new_stats () =
   {
-    joins = Atomic.make 0;
-    tuples_scanned = Atomic.make 0;
-    index_hits = Atomic.make 0;
-    plan_cache_hits = Atomic.make 0;
-    cost_oracle_used = Atomic.make 0;
-    parallel_batches = Atomic.make 0;
+    joins = 0;
+    tuples_scanned = 0;
+    index_hits = 0;
+    plan_cache_hits = 0;
+    cost_oracle_used = 0;
     order_time = 0.0;
   }
 
 let no_stats = new_stats ()
-let bump c n = ignore (Atomic.fetch_and_add c n)
 
 module SS = Set.Make (String)
 
@@ -35,9 +32,10 @@ module SS = Set.Make (String)
 let extend_pos stats rel s (a : Atom.t) =
   let pattern = List.map (Subst.apply s) a.Atom.args in
   let candidates = Relation.select rel ~pattern in
-  bump stats.joins 1;
-  if List.exists Term.is_ground pattern then bump stats.index_hits 1;
-  bump stats.tuples_scanned (List.length candidates);
+  stats.joins <- stats.joins + 1;
+  if List.exists Term.is_ground pattern then
+    stats.index_hits <- stats.index_hits + 1;
+  stats.tuples_scanned <- stats.tuples_scanned + List.length candidates;
   List.filter_map
     (fun tup -> Unify.matches_list ~init:s ~patterns:pattern tup)
     candidates

@@ -10,36 +10,27 @@
     during the well-founded alternating fixpoint. *)
 
 type stats = {
-  joins : int Atomic.t;  (** positive-literal extension steps *)
-  tuples_scanned : int Atomic.t;
-  index_hits : int Atomic.t;
+  mutable joins : int;  (** positive-literal extension steps *)
+  mutable tuples_scanned : int;
+  mutable index_hits : int;
       (** extension steps answered via an index probe *)
-  plan_cache_hits : int Atomic.t;
+  mutable plan_cache_hits : int;
       (** compiled-plan lookups answered from the plan cache (see
           {!Plan}; 0 on the interpreted path) *)
-  cost_oracle_used : int Atomic.t;
+  mutable cost_oracle_used : int;
       (** plan compilations whose literal order came from an installed
           cost oracle ({!Plan.with_oracle}) rather than the syntactic
           greedy score *)
-  parallel_batches : int Atomic.t;
-      (** delta batches fanned out across the domain pool (see
-          {!Parexec}; 0 under sequential evaluation) *)
   mutable order_time : float;
       (** wall-clock seconds spent ordering literals / compiling plans
           — on the compiled path this is paid once per (rule, focus),
-          not per round. Main-domain only, hence not atomic. *)
+          not per round. *)
 }
-(** Hot counters are [Atomic.t] so compiled plans may execute
-    concurrently on the domain pool; all are order-independent sums, so
-    parallel and sequential evaluation report identical values. *)
 
 val new_stats : unit -> stats
 
 val no_stats : stats
 (** Shared sink for callers that don't collect stats. *)
-
-val bump : int Atomic.t -> int -> unit
-(** [bump c n] adds [n] to counter [c]. *)
 
 val solve_body :
   ?stats:stats ->

@@ -32,7 +32,6 @@ type report = {
   tuples_scanned : int;
   index_hits : int;
   plan_cache_hits : int;
-  parallel_batches : int;
   touched : string list;
   per_stratum : stratum_report list;
 }
@@ -41,7 +40,6 @@ type t = {
   max_term_depth : int;
   max_rounds : int;
   compiled : bool;
-  pool : Pool.t option;
   mutable rules : Rule.t list;
   mutable strata : Rule.t list list;
   mutable idb : SS.t;
@@ -107,8 +105,8 @@ let warm_indexes db rules =
         body_atoms)
     rules
 
-let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?(compiled = true) ?pool
-    ?prune ?minimize p edb0 =
+let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?(compiled = true) ?prune
+    ?minimize p edb0 =
   let facts, p' = Program.split_facts p in
   (* Semantic minimization rewrites rules to equivalent ones with fewer
      body atoms; unlike [prune] it is valid for every database, so the
@@ -143,7 +141,7 @@ let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?(compiled = true) ?pool
         let rs = List.filter keep rs in
         if rs <> [] then
           ignore
-            (Seminaive.run ~stats ?pool ~compiled ~max_term_depth ~max_rounds
+            (Seminaive.run ~stats ~compiled ~max_term_depth ~max_rounds
                ~neg:db rs db))
       strata;
     let rules = Program.rules p' in
@@ -153,7 +151,6 @@ let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?(compiled = true) ?pool
         max_term_depth;
         max_rounds;
         compiled;
-        pool;
         rules;
         strata;
         idb = idb_of rules;
@@ -162,7 +159,7 @@ let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?(compiled = true) ?pool
       }
 
 let of_materialized ?(max_term_depth = 8) ?(max_rounds = 100_000)
-    ?(compiled = true) ?pool ?edb:edb0 ?(prewarm = true) p db =
+    ?(compiled = true) ?edb:edb0 ?(prewarm = true) p db =
   let facts, p' = Program.split_facts p in
   match Stratify.rules_by_stratum p' with
   | Error cycle -> Error ("Maintain.of_materialized: " ^ unstratified_msg cycle)
@@ -191,7 +188,7 @@ let of_materialized ?(max_term_depth = 8) ?(max_rounds = 100_000)
     List.iter (fun f -> ignore (Database.add_fact edb f)) facts;
     if prewarm then warm_indexes db rules;
     Ok
-      { max_term_depth; max_rounds; compiled; pool; rules; strata; idb; edb; db }
+      { max_term_depth; max_rounds; compiled; rules; strata; idb; edb; db }
 
 let too_deep t (a : Atom.t) =
   List.exists (fun x -> Logic.Term.depth x > t.max_term_depth) a.Atom.args
@@ -367,7 +364,7 @@ let run_maintenance t ~new_rules ~additions ~deletions =
                   (Database.facts t.edb h))
               heads;
             let o =
-              Seminaive.run ~stats ?pool:t.pool ~compiled:t.compiled
+              Seminaive.run ~stats ~compiled:t.compiled
                 ~max_term_depth:t.max_term_depth ~max_rounds:t.max_rounds
                 ~neg:t.db rs t.db
             in
@@ -423,51 +420,6 @@ let run_maintenance t ~new_rules ~additions ~deletions =
                 deps
             in
             if add_relevant then begin
-              (* One (rule, focus) propagation batch: fanned out across
-                 the domain pool when the handle has one and the delta
-                 extent is big enough — same partitioned execution as
-                 Seminaive's round loop (DRed over-deletion above stays
-                 sequential: its batches are deletion-bounded and
-                 interleave with db mutation). The parallel branch
-                 filters skolem-deep heads inside [Parexec.run_delta]
-                 (same count, counted per emission either way). *)
-              let derive_batch r i d ~absorb =
-                let seq atoms =
-                  List.iter
-                    (fun a -> if too_deep t a then incr skolems else absorb a)
-                    atoms
-                in
-                match t.pool with
-                | Some _ when t.compiled -> (
-                  (* one Plan.lookup either way, so plan_cache_hits
-                     stays identical to the pool-less run *)
-                  let plan = Plan.lookup ~stats r ~focus:(Some i) in
-                  let rows =
-                    match Plan.focus_pred plan with
-                    | None -> []
-                    | Some fp -> (
-                      match Database.relation_opt d fp with
-                      | Some rel ->
-                        Relation.fold_packed (fun p acc -> p :: acc) rel []
-                      | None -> [])
-                  in
-                  match Parexec.eligible ~pool:t.pool plan rows with
-                  | Some pool ->
-                    let out, supp =
-                      Parexec.run_delta ~stats ~pool
-                        ~max_term_depth:t.max_term_depth ~db:t.db ~neg:t.db
-                        plan ~delta_rows:rows
-                    in
-                    skolems := !skolems + supp;
-                    List.iter
-                      (fun row ->
-                        absorb
-                          (Atom.make (Rule.head_pred r)
-                             (Tuple.Packed.to_list row)))
-                      out
-                  | None -> seq (Plan.run ~stats ~db:t.db ~neg:t.db ~delta:d plan))
-                | _ -> seq (derive t ~stats ~db:t.db ~neg:t.db ~focus:(i, d) r)
-              in
               let rec prop rounds d =
                 if Database.cardinal d = 0 then rounds
                 else begin
@@ -478,11 +430,14 @@ let run_maintenance t ~new_rules ~additions ~deletions =
                     (fun r ->
                       List.iter
                         (fun i ->
-                          derive_batch r i d ~absorb:(fun a ->
-                              if Database.add_fact t.db a then begin
+                          List.iter
+                            (fun a ->
+                              if too_deep t a then incr skolems
+                              else if Database.add_fact t.db a then begin
                                 ignore (Database.add_fact next a);
                                 note_added a
-                              end))
+                              end)
+                            (derive t ~stats ~db:t.db ~neg:t.db ~focus:(i, d) r))
                         (Eval.positive_positions r))
                     rs;
                   prop (rounds + 1) next
@@ -516,11 +471,10 @@ let run_maintenance t ~new_rules ~additions ~deletions =
     skipped = count Skipped;
     recomputed = count Recomputed;
     skolems_suppressed = !skolems;
-    joins = Atomic.get stats.Eval.joins;
-    tuples_scanned = Atomic.get stats.Eval.tuples_scanned;
-    index_hits = Atomic.get stats.Eval.index_hits;
-    plan_cache_hits = Atomic.get stats.Eval.plan_cache_hits;
-    parallel_batches = Atomic.get stats.Eval.parallel_batches;
+    joins = stats.Eval.joins;
+    tuples_scanned = stats.Eval.tuples_scanned;
+    index_hits = stats.Eval.index_hits;
+    plan_cache_hits = stats.Eval.plan_cache_hits;
     touched = SS.elements !changed;
     per_stratum;
   }

@@ -55,10 +55,6 @@ type report = {
   tuples_scanned : int;
   index_hits : int;       (** join steps answered via an index probe *)
   plan_cache_hits : int;  (** compiled-plan lookups answered from cache *)
-  parallel_batches : int;
-      (** propagation/rebuild batches fanned out across the domain
-          pool (0 when the handle has no pool or nothing reached the
-          {!Parexec.min_rows} threshold) *)
   touched : string list;
       (** predicates whose extent changed — the precise invalidation
           set for result caches layered on top *)
@@ -71,7 +67,6 @@ val init :
   ?max_term_depth:int ->
   ?max_rounds:int ->
   ?compiled:bool ->
-  ?pool:Pool.t ->
   ?prune:(Logic.Rule.t list -> Database.t -> Logic.Rule.t list) ->
   ?minimize:(Logic.Rule.t list -> Logic.Rule.t list) ->
   Program.t ->
@@ -94,20 +89,12 @@ val init :
     equivalence-preserving for {e every} database (containment modulo
     invariants deltas cannot break, e.g. the domain map), so the
     minimized rules replace the originals in the handle and deltas
-    maintain the smaller bodies too.
-
-    [pool] parallelizes the initial materialization, insertion
-    propagation and stratum rebuilds across a domain pool for the
-    lifetime of the handle ({!Parexec}; compiled path only — DRed
-    over-deletion stays sequential, its batches interleave with
-    deletions). Maintained results and report counters are identical
-    with and without it. *)
+    maintain the smaller bodies too. *)
 
 val of_materialized :
   ?max_term_depth:int ->
   ?max_rounds:int ->
   ?compiled:bool ->
-  ?pool:Pool.t ->
   ?edb:Database.t ->
   ?prewarm:bool ->
   Program.t ->

@@ -359,10 +359,11 @@ let lookup ?(stats = Eval.no_stats) (r : Rule.t) ~focus =
       | Some o when order_ok r o -> Some o
       | Some _ | None -> None)
   in
-  if order <> None then Eval.bump stats.Eval.cost_oracle_used 1;
+  if order <> None then
+    stats.Eval.cost_oracle_used <- stats.Eval.cost_oracle_used + 1;
   match C.find_opt cache (r, focus, order) with
   | Some plan ->
-    Eval.bump stats.Eval.plan_cache_hits 1;
+    stats.Eval.plan_cache_hits <- stats.Eval.plan_cache_hits + 1;
     plan
   | None ->
     let t0 = Unix.gettimeofday () in
@@ -497,24 +498,22 @@ let exec_plan ?(stats = Eval.no_stats) ~db ~neg ?delta ?delta_rows plan
       match plan.ops.(i) with
       | Scan sc -> (
         (* Delta scans don't count as joins: they are the driver
-           iterating the delta, and counting per execution would make
-           the tally depend on how the delta was partitioned across
-           domains (see Parexec) instead of on the work done. *)
+           iterating the delta, not a join step. *)
         match scan_rows.(i) with
         | Some rows -> List.iter row_action.(i) rows
         | None -> (
           match rels.(i) with
           | None -> ()
           | Some rel ->
-            if not sc.from_delta then Eval.bump stats.Eval.joins 1;
+            if not sc.from_delta then stats.Eval.joins <- stats.Eval.joins + 1;
             if Array.length sc.positions = 0 then
               Relation.iter_packed row_action.(i) rel
             else if Array.length sc.positions = 1 then begin
-              Eval.bump stats.Eval.index_hits 1;
+              stats.Eval.index_hits <- stats.Eval.index_hits + 1;
               List.iter row_action.(i) (probe1.(i) (keyval sc.key.(0)))
             end
             else begin
-              Eval.bump stats.Eval.index_hits 1;
+              stats.Eval.index_hits <- stats.Eval.index_hits + 1;
               let key = keybuf.(i) in
               Array.iteri (fun j src -> key.(j) <- keyval src) sc.key;
               List.iter row_action.(i) (proben.(i) key)
@@ -588,7 +587,7 @@ let exec_plan ?(stats = Eval.no_stats) ~db ~neg ?delta ?delta_rows plan
         let no = Array.length others in
         row_action.(i) <-
           (fun row ->
-            Eval.bump stats.Eval.tuples_scanned 1;
+            stats.Eval.tuples_scanned <- stats.Eval.tuples_scanned + 1;
             if Tuple.Packed.arity row = ncols then begin
               for k = 0 to nb - 1 do
                 let j, s = binds.(k) in
@@ -634,7 +633,7 @@ let focus_pred plan = plan.focus_pred
    immutable bucket snapshots, and negation/builtin steps are point
    queries — only a full scan of the head relation itself (Hashtbl
    iteration) and aggregate subqueries (which re-enter the interpreter
-   over the database) are unsafe under concurrent insertion. *)
+   over the database) are unsafe under insertion while they run. *)
 let streamable plan =
   Array.for_all
     (fun op ->
@@ -647,24 +646,11 @@ let streamable plan =
       | Negcheck _ | Builtin _ | UnifyEq _ | Cmpop _ | Assign _ -> true)
     plan.ops
 
-(* ------------------------------------------------------------------ *)
-(* Parallel-execution support (Parexec). A plan may run concurrently on
-   several domains iff executing it cannot mutate shared state:
-   aggregate ops re-enter the interpreter ([Eval.eval_agg] →
-   [Relation.select]), which builds indexes lazily — everything else is
-   read-only once the probed indexes are warm. *)
-
-let parallel_safe plan =
-  Array.for_all
-    (fun op -> match op with Aggregate _ -> false | _ -> true)
-    plan.ops
-
 (* Whether a non-focus scan reads the plan's own head predicate (the
    non-linear case, e.g. tc(x,y) :- Δtc(x,z), tc(z,y)). Such a plan
    must not stream: streamed emissions become visible to its own later
-   probes within the round, so streamed and buffered execution — and
-   hence sequential and partitioned-parallel execution — could derive
-   different (earlier) facts and diverge on round counts. *)
+   probes within the round, so streaming would derive some facts a
+   round earlier than buffered execution and change the round count. *)
 let reads_own_head plan =
   Array.exists
     (fun op ->
@@ -672,43 +658,6 @@ let reads_own_head plan =
       | Scan sc -> (not sc.from_delta) && String.equal sc.pred plan.head_pred
       | _ -> false)
     plan.ops
-
-(* Build-and-sync every index the plan probes, so that concurrent
-   executions find [ensure_synced] a no-op (see Relation.warm_exact).
-   Called on the coordinating domain before a fan-out. *)
-let warm ~db plan =
-  Array.iter
-    (fun op ->
-      match op with
-      | Scan sc when (not sc.from_delta) && Array.length sc.positions > 0 -> (
-        match Database.relation_opt db sc.pred with
-        | Some rel -> Relation.warm_exact rel ~positions:sc.positions
-        | None -> ())
-      | _ -> ())
-    plan.ops
-
-(* The column of the delta scan to hash-partition delta rows by: the
-   first column the scan binds (a [Pbind] — constants filter, checks
-   cannot occur first in a focus plan). [None] when the delta literal
-   is all constants; the caller falls back to whole-row hashing. *)
-let partition_column plan =
-  let found = ref None in
-  (try
-     Array.iter
-       (fun op ->
-         match op with
-         | Scan sc when sc.from_delta ->
-           Array.iteri
-             (fun j c ->
-               match c with
-               | Cpat (Pbind _) when !found = None -> found := Some j
-               | _ -> ())
-             sc.cols;
-           raise Exit
-         | _ -> ())
-       plan.ops
-   with Exit -> ());
-  !found
 
 let run_stream ?stats ~max_term_depth ~db ~neg ?delta ?delta_rows plan ~emit =
   let suppressed = ref 0 in

@@ -84,32 +84,14 @@ val streamable : t -> bool
     its own head predicate (mutating a hash table under iteration) or
     contains an aggregate (whose subquery re-enters the interpreter
     over the database). Keyed scans and delta scans iterate immutable
-    snapshots, so they tolerate concurrent insertion. *)
-
-val parallel_safe : t -> bool
-(** Whether the plan may execute concurrently on several domains
-    against a fixed database: true unless it contains an aggregate
-    (whose subquery re-enters the interpreter, which builds indexes
-    lazily). Probed-index warm-up is handled separately by {!warm}. *)
+    snapshots, so they tolerate insertion while they run. *)
 
 val reads_own_head : t -> bool
 (** Whether a non-focus scan of the plan reads its own head predicate.
     {!Seminaive} buffers such plans instead of streaming them, so that
-    one execution's emissions are never visible to its own probes —
-    the property that makes partitioned-parallel execution
-    ({!Parexec}) bit-identical to sequential execution. *)
-
-val warm : db:Database.t -> t -> unit
-(** Build and catch up every index the plan probes
-    ({!Relation.warm_exact}), so concurrent executions of the plan are
-    read-only on [db]. Call on the coordinating domain before handing
-    the plan to workers. *)
-
-val partition_column : t -> int option
-(** The delta-scan column to hash-partition delta rows by — the first
-    column the scan binds. [None] when the plan has no delta scan or
-    the scan binds nothing (the caller falls back to whole-row
-    hashing). *)
+    one execution's emissions are never visible to its own probes:
+    streaming would derive some facts a round earlier and change the
+    round count. *)
 
 val run_stream :
   ?stats:Eval.stats ->

@@ -174,15 +174,6 @@ let ensure_index r positions =
 
 let warm_index r ~pos = ignore (ensure_index r [| pos |])
 
-(* Build *and* catch up the index so that, as long as the relation is
-   not mutated afterwards, concurrent probes are read-only:
-   [ensure_synced] sees [idx.seen = r.nlog] and becomes a no-op. The
-   parallel executor (Parexec) warms every index a plan probes before
-   fanning work out to the domain pool. *)
-let warm_exact r ~positions =
-  let idx = ensure_index r positions in
-  ensure_synced r idx
-
 let lookup_key r ~positions key =
   let idx = ensure_index r positions in
   ensure_synced r idx;

@@ -87,12 +87,6 @@ val warm_index : t -> pos:int -> unit
     positions up front so the first delta is not charged a full index
     build. *)
 
-val warm_exact : t -> positions:int array -> unit
-(** Build {e and catch up} the index on exactly [positions]. After this
-    call, probes through {!prober}/{!prober1} are read-only until the
-    relation is next mutated — the property the parallel executor
-    relies on to share a relation across domains ({!Parexec}). *)
-
 val settle : t -> unit
 (** Catch every built index up with the insertion log (which is then
     dropped). Afterwards, lookups over indexes that already exist are

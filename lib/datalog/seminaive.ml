@@ -56,7 +56,7 @@ let run_interpreted ?stats ~max_term_depth ~max_rounds ~neg rules db =
    succeeded, so the delta needs no deduplication of its own — and the
    focus scan is a full scan either way (see [Plan]), so losing the
    hash set costs nothing. *)
-let run_compiled ?stats ?pool ~max_term_depth ~max_rounds ~neg rules db =
+let run_compiled ?stats ~max_term_depth ~max_rounds ~neg rules db =
   let derived = ref 0 in
   let suppressed = ref 0 in
   let absorb ~(into : (string, Tuple.Packed.t list ref) Hashtbl.t) pred rel
@@ -107,8 +107,8 @@ let run_compiled ?stats ?pool ~max_term_depth ~max_rounds ~neg rules db =
             let plan = Plan.lookup ?stats r ~focus:(Some i) in
             (* self-reading plans are buffered, not streamed: streamed
                emissions would be visible to the plan's own later
-               probes, making results depend on whether the execution
-               was partitioned across domains (see Parexec) *)
+               probes, moving derivations a round earlier and so
+               changing the round count *)
             let stream_ok =
               Plan.streamable plan && not (Plan.reads_own_head plan)
             in
@@ -144,13 +144,7 @@ let run_compiled ?stats ?pool ~max_term_depth ~max_rounds ~neg rules db =
              fire this round, skip the execution outright *)
           match rows with
           | None -> ()
-          | Some delta_rows -> (
-            match Parexec.eligible ~pool plan delta_rows with
-            | Some pool ->
-              absorb ~into:next pred rel
-                (Parexec.run_delta ?stats ~pool ~max_term_depth ~db ~neg plan
-                   ~delta_rows)
-            | None ->
+          | Some delta_rows ->
             if stream_ok then begin
               (* stream rows into the model as they are derived — no
                  intermediate buffer; the bucket is resolved on the
@@ -182,7 +176,7 @@ let run_compiled ?stats ?pool ~max_term_depth ~max_rounds ~neg rules db =
               in
               suppressed := !suppressed + supp
             end
-            else absorb ~into:next pred rel (run_plan ~delta_rows plan)))
+            else absorb ~into:next pred rel (run_plan ~delta_rows plan))
         delta_plans;
       loop (rounds + 1) next
     end
@@ -190,8 +184,8 @@ let run_compiled ?stats ?pool ~max_term_depth ~max_rounds ~neg rules db =
   let rounds = loop 1 delta0 in
   { rounds; derived = !derived; skolems_suppressed = !suppressed }
 
-let run ?stats ?pool ?(compiled = true) ?(max_term_depth = 8)
+let run ?stats ?(compiled = true) ?(max_term_depth = 8)
     ?(max_rounds = 100_000) ~neg rules db =
   if compiled then
-    run_compiled ?stats ?pool ~max_term_depth ~max_rounds ~neg rules db
+    run_compiled ?stats ~max_term_depth ~max_rounds ~neg rules db
   else run_interpreted ?stats ~max_term_depth ~max_rounds ~neg rules db

@@ -11,7 +11,6 @@ type outcome = {
 
 val run :
   ?stats:Eval.stats ->
-  ?pool:Pool.t ->
   ?compiled:bool ->
   ?max_term_depth:int ->
   ?max_rounds:int ->
@@ -21,7 +20,4 @@ val run :
   outcome
 (** Same contract as {!Naive.run}. Mutates [db]. [compiled] (default
     [true]) derives through cached {!Plan}s; [false] keeps the
-    interpreted {!Eval.derive} path — the differential-testing oracle.
-    [pool] fans each round's big-enough delta batches out across a
-    domain pool ({!Parexec}; compiled path only) — results and outcome
-    counters are identical with and without it. *)
+    interpreted {!Eval.derive} path — the differential-testing oracle. *)

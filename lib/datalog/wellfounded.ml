@@ -9,19 +9,19 @@ type model = {
    I, so Γ∘Γ is monotone increasing and the even iterates converge to
    the set of well-founded-true facts while the odd iterates converge to
    the non-false facts. *)
-let gamma ?stats ?pool ?compiled ?max_term_depth ?max_rounds rules edb i =
+let gamma ?stats ?compiled ?max_term_depth ?max_rounds rules edb i =
   let db = Database.copy edb in
   ignore
-    (Seminaive.run ?stats ?pool ?compiled ?max_term_depth ?max_rounds ~neg:i
+    (Seminaive.run ?stats ?compiled ?max_term_depth ?max_rounds ~neg:i
        rules db);
   db
 
-let compute ?stats ?pool ?compiled ?max_term_depth ?max_rounds p edb =
+let compute ?stats ?compiled ?max_term_depth ?max_rounds p edb =
   let rules = Program.rules p in
   let alternations = ref 0 in
   let step i =
     incr alternations;
-    gamma ?stats ?pool ?compiled ?max_term_depth ?max_rounds rules edb i
+    gamma ?stats ?compiled ?max_term_depth ?max_rounds rules edb i
   in
   (* A_0 = ∅ (so Γ(A_0) is the maximal candidate). *)
   let rec iterate under over =

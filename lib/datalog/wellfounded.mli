@@ -20,7 +20,6 @@ type model = {
 
 val compute :
   ?stats:Eval.stats ->
-  ?pool:Pool.t ->
   ?compiled:bool ->
   ?max_term_depth:int ->
   ?max_rounds:int ->
@@ -29,9 +28,7 @@ val compute :
   model
 (** [compute p edb] returns the well-founded model of [p] over the
     extensional database [edb] (which is not mutated). [true_facts]
-    includes the EDB. [pool] parallelizes the semi-naive rounds inside
-    each Γ application (see {!Seminaive.run}); the alternation itself
-    is inherently sequential. *)
+    includes the EDB. *)
 
 val is_total : model -> bool
 (** [true] iff nothing is undefined — e.g. always for stratified

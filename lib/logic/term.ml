@@ -155,31 +155,7 @@ let pool : int H.t = H.create 4096
 let pool_rev : t array ref = ref (Array.make 4096 (Const (Int 0)))
 let pool_next = ref 0
 
-(* Parallel mode: while the domain pool runs a batch, every pool access
-   takes [pool_mu]. Outside parallel regions (the common case) the only
-   cost is one [Atomic.get] per access, and the sequential fast path is
-   byte-for-byte the pre-multicore behavior. The depth is a counter so
-   nested/overlapping batches compose. *)
-let pool_mu = Mutex.create ()
-let parallel_depth = Atomic.make 0
-let enter_parallel () = Atomic.incr parallel_depth
-let exit_parallel () = Atomic.decr parallel_depth
-
-let locked f =
-  if Atomic.get parallel_depth = 0 then f ()
-  else begin
-    Mutex.lock pool_mu;
-    match f () with
-    | v ->
-      Mutex.unlock pool_mu;
-      v
-    | exception e ->
-      Mutex.unlock pool_mu;
-      raise e
-  end
-
 let id t =
-  locked @@ fun () ->
   match H.find_opt pool t with
   | Some i -> i
   | None ->
@@ -198,14 +174,12 @@ let id t =
     i
 
 let id_opt t = if is_ground t then Some (id t) else None
-let find_id t = locked @@ fun () -> H.find_opt pool t
+let find_id t = H.find_opt pool t
 
 let of_id i =
-  locked @@ fun () ->
   if i < 0 || i >= !pool_next then invalid_arg "Term.of_id: unknown id"
   else !pool_rev.(i)
 
 let pool_size () = !pool_next
 
-let pool_longest_bucket () =
-  locked @@ fun () -> (H.stats pool).Hashtbl.max_bucket_length
+let pool_longest_bucket () = (H.stats pool).Hashtbl.max_bucket_length

@@ -102,15 +102,6 @@ val pool_longest_bucket : unit -> int
 (** The most interned terms that share one hash bucket: an intern
     lookup compares against up to this many terms. *)
 
-val enter_parallel : unit -> unit
-(** Enter parallel mode: until the matching {!exit_parallel}, every
-    pool access ({!id}, {!find_id}, {!of_id}) synchronizes on a mutex
-    so concurrent domains may intern safely. Outside parallel mode the
-    pool is lock-free (single [Atomic.get] per access). Calls nest. *)
-
-val exit_parallel : unit -> unit
-(** Leave parallel mode (must pair with an {!enter_parallel}). *)
-
 (** {1 Pretty-printing} *)
 
 val pp_const : Format.formatter -> const -> unit

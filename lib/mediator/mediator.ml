@@ -18,7 +18,6 @@ type config = {
   minimize : bool;
   runtime : Runtime.policy;
   cost_budget : int option;
-  domains : int;
   durability : Datalog.Store.durability option;
 }
 
@@ -34,7 +33,6 @@ let default_config =
     minimize = false;
     runtime = Runtime.default_policy;
     cost_budget = None;
-    domains = 0;
     durability = None;
   }
 
@@ -594,51 +592,11 @@ let suspect_predicates t ~skipped =
       result.Analysis.Prov_lint.predicates
     |> List.sort_uniq String.compare
 
-(* Domain count for the mediator's own fan-out: an explicit config
-   value wins, otherwise KIND_DOMAINS / kindctl --domains. *)
-let effective_domains t =
-  if t.cfg.domains > 0 then min t.cfg.domains 64 else Pool.env_domains ()
-
 let gather_facts t =
-  let fetches =
-    (* Resolve the fault channel and health record for every source up
-       front, on this domain: both are lazily inserted into Hashtbls,
-       so the fan-out below must only touch pre-existing per-source
-       state. *)
-    List.map
-      (fun src ->
-        let ch = channel t src in
-        ignore (Runtime.health t.runtime (Source.name src));
-        (src, ch))
-      t.sources
-  in
   let outcomes =
-    match Pool.get (effective_domains t) with
-    | Some pool when List.length fetches > 1 ->
-      (* Concurrent-start semantics: every fetch begins at the current
-         virtual instant and the shared clock then advances by the
-         slowest one, as if the sources were polled in parallel. Each
-         task owns its source's channel and health record exclusively,
-         so per-channel fault transcripts stay replay-exact, and the
-         merge below is in registration order, so the completeness
-         report is deterministic. *)
-      let start = Runtime.clock t.runtime in
-      let results =
-        Pool.run_list pool
-          (List.map
-             (fun (src, ch) () ->
-               let now = ref start in
-               let r = Runtime.fetch_at t.runtime ~now ch source_facts in
-               (src, r, !now - start))
-             fetches)
-      in
-      Runtime.advance t.runtime
-        (List.fold_left (fun acc (_, _, e) -> max acc e) 0 results);
-      List.map (fun (src, r, _) -> (src, r)) results
-    | _ ->
-      List.map
-        (fun (src, ch) -> (src, Runtime.fetch t.runtime ch source_facts))
-        fetches
+    List.map
+      (fun src -> (src, Runtime.fetch t.runtime (channel t src) source_facts))
+      t.sources
   in
   let data, contributed, skipped =
     List.fold_left
@@ -697,9 +655,7 @@ let materialize t =
       | Error e -> invalid_arg e
       | Ok dp -> (
         match
-          Datalog.Maintain.init ?prune ?minimize
-            ?pool:(Pool.get (effective_domains t))
-            dp
+          Datalog.Maintain.init ?prune ?minimize dp
             (Datalog.Database.create ())
         with
         | Ok h ->
@@ -712,13 +668,7 @@ let materialize t =
              incremental handle *)
           t.maint <- None;
           Datalog.Engine.materialize
-            ~config:
-              {
-                Datalog.Engine.default_config with
-                prune;
-                minimize;
-                domains = t.cfg.domains;
-              }
+            ~config:{ Datalog.Engine.default_config with prune; minimize }
             dp
             (Datalog.Database.create ()))
     in
@@ -1006,10 +956,7 @@ let recover t =
     let adopt ~edb db =
       Result.bind
         (Flogic.Fl_program.compile (build_program_with t ~data:[]))
-        (fun dp ->
-          Datalog.Maintain.of_materialized
-            ?pool:(Pool.get (effective_domains t))
-            ~edb dp db)
+        (fun dp -> Datalog.Maintain.of_materialized ~edb dp db)
     in
     let handle =
       Result.bind (Datalog.Store.recover d ~adopt) (function

@@ -53,16 +53,6 @@ type config = {
           unbounded) gets a reject-level [over-budget] error — which
           [Lint_reject] turns into a refused registration (default
           [None]: no cost policy) *)
-  domains : int;
-      (** worker domains for the mediator's evaluation and federation
-          fan-out: query-time {e gather} polls every registered source
-          concurrently (virtual clocks advance by the slowest fetch,
-          per-channel fault transcripts stay replay-exact, and the
-          completeness report is merged in registration order), and the
-          materialization runs its semi-naive joins through the same
-          pool ({!Datalog.Engine.config.domains}). [0] (the default)
-          defers to the [KIND_DOMAINS] environment variable /
-          [kindctl --domains]; [1] forces sequential. *)
   durability : Datalog.Store.durability option;
       (** when set, {!materialize} auto-checkpoints a freshly maintained
           materialization (engine snapshot + federation state, WAL

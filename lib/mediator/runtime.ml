@@ -83,85 +83,74 @@ let trip_at stamp h ~until =
   h.open_until <- until;
   transition_at stamp h Open
 
-(* The fetch state machine against a caller-owned clock. [now] starts
-   at the caller's notion of "when this fetch begins" and is advanced
-   by the channel's virtual elapsed time and by backoff delays; the
-   caller decides how a batch of fetches composes into the runtime's
-   global clock (sequential gather: each fetch starts where the last
-   ended; concurrent gather: all fetches start together and the global
-   clock advances by the slowest — see Mediator.gather_facts).
-
-   Under a concurrent gather each task must target a distinct source:
-   the health record and the fault channel are per-source mutable
-   state, exclusive to the one task fetching that source, and the
-   caller pre-creates health records so [health]'s lazy Hashtbl insert
-   never runs off the coordinating domain. *)
-let fetch_at t ~now ch f =
+(* Elapsed virtual time (channel costs plus backoff delays) accumulates
+   in [now] and reaches the runtime clock when the fetch returns, so a
+   non-fault exception escaping [f] leaves the clock where it was. *)
+let fetch t ch f =
   let h = health t (Fault.name ch) in
   h.calls <- h.calls + 1;
-  if h.quarantined then Error "quarantined after crash; awaiting re-registration"
-  else begin
-    (* an elapsed cooldown lets one probe through *)
-    (match h.state with
-    | Open when !now >= h.open_until -> transition_at !now h Half_open
-    | _ -> ());
-    match h.state with
-    | Open ->
-      Error
-        (Printf.sprintf "circuit open (cooldown ends at t=%dms)" h.open_until)
-    | Closed | Half_open ->
-      let probing = h.state = Half_open in
-      let attempts = if probing then 1 else t.policy.retry.attempts in
-      let give_up reason =
-        h.consecutive <- h.consecutive + 1;
-        if probing then trip_at !now h ~until:(!now + t.policy.breaker.cooldown)
-        else if h.consecutive >= t.policy.breaker.trip_after then
-          trip_at !now h ~until:(!now + t.policy.breaker.cooldown);
-        Error reason
-      in
-      let rec attempt n backed_off =
-        let before = Fault.clock ch in
-        let outcome =
-          match Fault.call ch f with
-          | v -> (
-            match Fault.consume_corruption ch with
-            | None -> Ok v
-            | Some fl ->
-              Error (`Fail (Printf.sprintf "corrupt payload (%s)" (Fault.fault_to_string fl))))
-          | exception Fault.Injected { fault = Fault.Crash; _ } -> Error `Crash
-          | exception Fault.Injected { fault; _ } ->
-            Error (`Fail (Fault.fault_to_string fault))
-        in
-        now := !now + (Fault.clock ch - before);
-        match outcome with
-        | Ok v ->
-          if n > 1 then h.absorbed <- h.absorbed + 1;
-          h.consecutive <- 0;
-          if probing then transition_at !now h Closed;
-          Ok v
-        | Error `Crash ->
-          h.failures <- h.failures + 1;
-          h.quarantined <- true;
-          trip_at !now h ~until:max_int;
-          Error "crashed; quarantined until re-registration"
-        | Error (`Fail reason) ->
-          h.failures <- h.failures + 1;
-          let delay = t.policy.retry.backoff * (1 lsl (n - 1)) in
-          if n < attempts && backed_off + delay <= t.policy.retry.budget then begin
-            h.retries <- h.retries + 1;
-            now := !now + delay;
-            attempt (n + 1) (backed_off + delay)
-          end
-          else give_up reason
-      in
-      attempt 1 0
-  end
-
-let fetch t ch f =
   let now = ref t.clock in
-  let r = fetch_at t ~now ch f in
+  let result =
+    if h.quarantined then Error "quarantined after crash; awaiting re-registration"
+    else begin
+      (* an elapsed cooldown lets one probe through *)
+      (match h.state with
+      | Open when !now >= h.open_until -> transition_at !now h Half_open
+      | _ -> ());
+      match h.state with
+      | Open ->
+        Error
+          (Printf.sprintf "circuit open (cooldown ends at t=%dms)" h.open_until)
+      | Closed | Half_open ->
+        let probing = h.state = Half_open in
+        let attempts = if probing then 1 else t.policy.retry.attempts in
+        let give_up reason =
+          h.consecutive <- h.consecutive + 1;
+          if probing then trip_at !now h ~until:(!now + t.policy.breaker.cooldown)
+          else if h.consecutive >= t.policy.breaker.trip_after then
+            trip_at !now h ~until:(!now + t.policy.breaker.cooldown);
+          Error reason
+        in
+        let rec attempt n backed_off =
+          let before = Fault.clock ch in
+          let outcome =
+            match Fault.call ch f with
+            | v -> (
+              match Fault.consume_corruption ch with
+              | None -> Ok v
+              | Some fl ->
+                Error (`Fail (Printf.sprintf "corrupt payload (%s)" (Fault.fault_to_string fl))))
+            | exception Fault.Injected { fault = Fault.Crash; _ } -> Error `Crash
+            | exception Fault.Injected { fault; _ } ->
+              Error (`Fail (Fault.fault_to_string fault))
+          in
+          now := !now + (Fault.clock ch - before);
+          match outcome with
+          | Ok v ->
+            if n > 1 then h.absorbed <- h.absorbed + 1;
+            h.consecutive <- 0;
+            if probing then transition_at !now h Closed;
+            Ok v
+          | Error `Crash ->
+            h.failures <- h.failures + 1;
+            h.quarantined <- true;
+            trip_at !now h ~until:max_int;
+            Error "crashed; quarantined until re-registration"
+          | Error (`Fail reason) ->
+            h.failures <- h.failures + 1;
+            let delay = t.policy.retry.backoff * (1 lsl (n - 1)) in
+            if n < attempts && backed_off + delay <= t.policy.retry.budget then begin
+              h.retries <- h.retries + 1;
+              now := !now + delay;
+              attempt (n + 1) (backed_off + delay)
+            end
+            else give_up reason
+        in
+        attempt 1 0
+    end
+  in
   t.clock <- !now;
-  r
+  result
 
 let revive t name =
   let h = health t name in

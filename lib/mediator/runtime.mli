@@ -72,19 +72,6 @@ val fetch : t -> Wrapper.Fault.t -> (Wrapper.Source.t -> 'a) -> ('a, string) res
     propagate unchanged. Advances the runtime clock by the fetch's
     virtual elapsed time (channel costs plus backoff delays). *)
 
-val fetch_at :
-  t -> now:int ref -> Wrapper.Fault.t -> (Wrapper.Source.t -> 'a) -> ('a, string) result
-(** Like {!fetch}, but against a caller-owned clock: cooldown checks
-    read [!now] and elapsed time accumulates into [now] instead of the
-    runtime clock, which is left untouched. This is what lets a batch
-    of fetches compose concurrently — start every source's [now] at the
-    same instant, fan out (one task per {e distinct} source: health
-    records and fault channels are per-source mutable state, and the
-    caller must pre-create both on the coordinating domain), then
-    {!advance} the shared clock by the slowest task's elapsed time.
-    [fetch t ch f] is [fetch_at] with [now] seeded from and written
-    back to the runtime clock. *)
-
 val revive : t -> string -> unit
 (** Figure-3 re-registration: lift a quarantine, close the breaker,
     clear the consecutive-failure count. Lifetime counters survive. *)

@@ -445,6 +445,30 @@ let test_stale_capabilities () =
   Alcotest.(check (list string)) "stale caps do not skip the source" []
     (List.map fst c.Mediator.skipped)
 
+(* Directed: a gather polls the sources one after another, so the
+   runtime clock advances by the sum of the fetches. Under [Always
+   (Delay 30)] each fetch costs 31 virtual ms (1 ms call + 30 ms
+   delay); the three demo labs cost 93. *)
+let test_gather_clock () =
+  let med =
+    Neuro.Sources.standard_mediator { Neuro.Sources.seed = 7; scale = 10 }
+  in
+  List.iter
+    (fun src ->
+      match
+        Mediator.set_fault_plan med ~source:(Source.name src)
+          (Fault.Always (Fault.Delay 30))
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    (Mediator.sources med);
+  ignore (Mediator.materialize med);
+  Alcotest.(check int) "clock = 3 x (1 ms call + 30 ms delay)" 93
+    (Runtime.clock (Mediator.runtime med));
+  Alcotest.(check (list string)) "every lab contributed"
+    [ "SYNAPSE"; "NCMIR"; "SENSELAB" ]
+    (Mediator.completeness med).Mediator.contributed
+
 let suites =
   [
     ( "faults",
@@ -465,5 +489,7 @@ let suites =
           test_corruption_absorbed;
         Alcotest.test_case "stale capability answers over-advertise" `Quick
           test_stale_capabilities;
+        Alcotest.test_case "gather clock is the sum of its fetches" `Quick
+          test_gather_clock;
       ] );
   ]
