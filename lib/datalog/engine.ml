@@ -230,7 +230,8 @@ let materialize ?(config = default_config) ?report p edb =
         ~rounds:model.Wellfounded.alternations
         ~derived:(Database.cardinal model.Wellfounded.true_facts
                   - Database.cardinal db)
-        ~skolems:0 ~result:model.Wellfounded.true_facts;
+        ~skolems:model.Wellfounded.skolems_suppressed
+        ~result:model.Wellfounded.true_facts;
       (* hand back a settled model: every index the alternating
          fixpoint built has replayed its insertion log, so the first
          query over a rebuild does not pay that backlog. The stratified

@@ -163,9 +163,10 @@ val maintain :
 (** Incremental view maintenance: absorb a batch of EDB insertions and
     deletions into an already-materialized stratified database,
     re-evaluating only the strata whose dependencies changed (see
-    {!Maintain}; stratified negation and aggregation included — changed
-    nonmonotonic strata are rebuilt from the maintained strata below
-    them). The database is mutated. [Error] if the program is
+    {!Maintain}; stratified negation and aggregation included — changes
+    to a negated input propagate by polarity, and a stratum whose
+    aggregated input changed is rebuilt from the maintained strata
+    below it). The database is mutated. [Error] if the program is
     unstratified or a delta fact is non-ground. For repeated deltas
     keep a {!Maintain.t} handle instead — this entry point re-adopts
     the database on every call.

@@ -193,20 +193,57 @@ let of_materialized ?(max_term_depth = 8) ?(max_rounds = 100_000)
 let too_deep t (a : Atom.t) =
   List.exists (fun x -> Logic.Term.depth x > t.max_term_depth) a.Atom.args
 
+(* Rules [r] rewritten to focus on a changed predicate it reads under
+   negation: one per [not p(u)] literal with [changed p], as
+   [head :- p(u), body] with the focus literal at position 0. With
+   [~drop_neg] every negation of the body goes, so the rewrite matches a
+   superset of the instances that held before the batch (the seeds of
+   over-deletion); without it the negations stay and read the current
+   model (the seeds of insertion). *)
+let neg_focus ~drop_neg changed rs =
+  List.concat_map
+    (fun (r : Rule.t) ->
+      let body =
+        if drop_neg then
+          List.filter (function Literal.Neg _ -> false | _ -> true) r.Rule.body
+        else r.Rule.body
+      in
+      List.filter_map
+        (function
+          | Literal.Neg a when changed a.Atom.pred ->
+            Some (Rule.make r.Rule.head (Literal.Pos a :: body))
+          | _ -> None)
+        r.Rule.body)
+    rs
+
 (* One stratum, propagate path, deletion side: delete-and-rederive
    (DRed). Facts already removed globally are restored for the duration
    of the over-deletion fixpoint so rule bodies join against the
    pre-deletion extents; candidates asserted in the base are immune.
+   [blocked] are {!neg_focus} rewrites (negations dropped) for negated
+   predicates that gained facts: read against [added_db], they seed the
+   over-deletion with the heads a new fact may have blocked.
    [explicit] holds base-level retractions of this stratum's own head
    predicates: they join the re-derivation pool (a retracted base fact
    survives when rules still prove it) and [unremove] is called on the
    survivors so downstream strata stop treating them as deleted. *)
-let dred_stratum t stats rs ~removed_db ~explicit ~unremove ~note_removed =
+let dred_stratum t stats rs ~removed_db ~added_db ~blocked ~explicit ~unremove
+    ~note_removed =
   let restored =
     List.filter (fun f -> Database.add_fact t.db f) (Database.all_facts removed_db)
   in
   let overdel = Database.create () in
   let rounds = ref 0 in
+  let mark next a =
+    if
+      Database.mem t.db a
+      && (not (Database.mem t.edb a))
+      && not (Database.mem overdel a)
+    then begin
+      ignore (Database.add_fact overdel a);
+      ignore (Database.add_fact next a)
+    end
+  in
   let rec over d =
     if Database.cardinal d = 0 then ()
     else begin
@@ -218,23 +255,21 @@ let dred_stratum t stats rs ~removed_db ~explicit ~unremove ~note_removed =
         (fun r ->
           List.iter
             (fun i ->
-              List.iter
-                (fun a ->
-                  if
-                    Database.mem t.db a
-                    && (not (Database.mem t.edb a))
-                    && not (Database.mem overdel a)
-                  then begin
-                    ignore (Database.add_fact overdel a);
-                    ignore (Database.add_fact next a)
-                  end)
+              List.iter (mark next)
                 (derive t ~stats ~db:t.db ~neg:t.db ~focus:(i, d) r))
             (Eval.positive_positions r))
         rs;
       over next
     end
   in
+  let seeds = Database.create () in
+  List.iter
+    (fun r ->
+      List.iter (mark seeds)
+        (derive t ~stats ~db:t.db ~neg:t.db ~focus:(0, added_db) r))
+    blocked;
   over removed_db;
+  over seeds;
   List.iter (fun f -> ignore (Database.remove_fact t.db f)) restored;
   let candidates = Database.all_facts overdel in
   List.iter (fun f -> ignore (Database.remove_fact t.db f)) candidates;
@@ -275,6 +310,26 @@ let dred_stratum t stats rs ~removed_db ~explicit ~unremove ~note_removed =
     candidates;
   List.iter (fun f -> if Database.mem t.db f then unremove f) explicit;
   !rounds
+
+(* A stratum's stored body predicates by polarity: read positively,
+   under negation, or inside an aggregate (builtins have no extent). *)
+let polarity rs =
+  let stored (a : Atom.t) = not (Literal.is_builtin a.Atom.pred) in
+  List.fold_left
+    (fun acc (r : Rule.t) ->
+      List.fold_left
+        (fun (pos, neg, agg) -> function
+          | Literal.Pos a when stored a -> (SS.add a.Atom.pred pos, neg, agg)
+          | Literal.Neg a when stored a -> (pos, SS.add a.Atom.pred neg, agg)
+          | Literal.Agg ag ->
+            ( pos,
+              neg,
+              List.fold_left
+                (fun s (a : Atom.t) -> SS.add a.Atom.pred s)
+                agg ag.Literal.body )
+          | _ -> (pos, neg, agg))
+        acc r.Rule.body)
+    (SS.empty, SS.empty, SS.empty) rs
 
 (* The shared stratum walk behind [apply] and [extend_rules].
    Precondition: [t.strata]/[t.idb] already reflect [new_rules], and the
@@ -317,13 +372,8 @@ let run_maintenance t ~new_rules ~additions ~deletions =
         let heads =
           List.fold_left (fun s r -> SS.add (Rule.head_pred r) s) SS.empty rs
         in
-        let deps = List.concat_map Rule.body_predicates rs in
-        let pos_changed =
-          List.exists (fun (p, nm) -> (not nm) && SS.mem p !changed) deps
-        in
-        let neg_changed =
-          List.exists (fun (p, nm) -> nm && SS.mem p !changed) deps
-        in
+        let pos, neg, agg = polarity rs in
+        let touched s = not (SS.disjoint s !changed) in
         let has_new = new_rules <> [] && List.exists is_new rs in
         let s_added = ref 0 and s_removed = ref 0 and s_rounds = ref 0 in
         let note_added (a : Atom.t) =
@@ -346,13 +396,13 @@ let run_maintenance t ~new_rules ~additions ~deletions =
         in
         let action =
           if
-            (not pos_changed) && (not neg_changed) && (not has_new)
-            && explicit_rm = []
+            (not (touched pos)) && (not (touched neg)) && (not (touched agg))
+            && (not has_new) && explicit_rm = []
           then Skipped
-          else if neg_changed then begin
-            (* A nonmonotonic dependency saw its extent change: rebuild
-               just this stratum from the (already-maintained) strata
-               below it. *)
+          else if touched agg then begin
+            (* An aggregated input saw its extent change: rebuild just
+               this stratum from the (already-maintained) strata below
+               it. *)
             let old_facts =
               SS.fold (fun h acc -> Database.facts t.db h @ acc) heads []
             in
@@ -388,38 +438,46 @@ let run_maintenance t ~new_rules ~additions ~deletions =
             Recomputed
           end
           else begin
-            (* Propagate: deletions via DRed, then new-rule seeding, then
-               semi-naive insertion propagation focused on the delta. *)
-            let rem_relevant =
-              List.exists
-                (fun (p, nm) -> (not nm) && Database.count removed_db p > 0)
-                deps
+            (* Propagate by polarity. A negated input is final here
+               (stratification): a fact it gains can only block rule
+               instances, a fact it loses only unblock them. So DRed
+               runs when a positive input lost facts, the stratum's own
+               base facts were retracted or a negated input gained
+               facts; then new-rule seeding; then the instances a
+               negated deletion unblocked; then semi-naive insertion
+               propagation focused on the accumulated delta. *)
+            let gained db s = SS.exists (fun p -> Database.count db p > 0) s in
+            let blocked =
+              neg_focus ~drop_neg:true (fun p -> Database.count added_db p > 0) rs
             in
-            if rem_relevant || explicit_rm <> [] then begin
+            if gained removed_db pos || explicit_rm <> [] || blocked <> []
+            then begin
               let unremove (a : Atom.t) =
                 ignore (Database.remove_fact removed_db a)
               in
               s_rounds :=
                 !s_rounds
-                + dred_stratum t stats rs ~removed_db ~explicit:explicit_rm
-                    ~unremove ~note_removed
+                + dred_stratum t stats rs ~removed_db ~added_db ~blocked
+                    ~explicit:explicit_rm ~unremove ~note_removed
             end;
+            let absorb a =
+              if too_deep t a then incr skolems
+              else if Database.add_fact t.db a then note_added a
+            in
             if has_new then
               List.iter
                 (fun r ->
                   if is_new r then
-                    List.iter
-                      (fun a ->
-                        if too_deep t a then incr skolems
-                        else if Database.add_fact t.db a then note_added a)
-                      (derive t ~stats ~db:t.db ~neg:t.db r))
+                    List.iter absorb (derive t ~stats ~db:t.db ~neg:t.db r))
                 rs;
-            let add_relevant =
-              List.exists
-                (fun (p, nm) -> (not nm) && Database.count added_db p > 0)
-                deps
-            in
-            if add_relevant then begin
+            List.iter
+              (fun r ->
+                List.iter absorb
+                  (derive t ~stats ~db:t.db ~neg:t.db ~focus:(0, removed_db) r))
+              (neg_focus ~drop_neg:false
+                 (fun p -> Database.count removed_db p > 0)
+                 rs);
+            if gained added_db pos then begin
               let rec prop rounds d =
                 if Database.cardinal d = 0 then rounds
                 else begin

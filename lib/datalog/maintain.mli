@@ -9,15 +9,21 @@
     Per stratum, the maintenance walk picks the cheapest sound path:
 
     - {b skip} — no body predicate of the stratum changed extent;
-    - {b propagate} — only positive dependencies changed: deletions run
-      delete-and-rederive (DRed: over-delete the consequences of the
-      removed facts, then re-derive survivors that still have an
-      alternative proof), insertions re-run the semi-naive [focus]
-      joins seeded with the accumulated delta;
-    - {b recompute} — a predicate read under negation (or inside an
-      aggregate) changed: the stratum is rebuilt from the maintained
-      strata below it, and the diff against its old extent continues
-      upward as the delta.
+    - {b propagate} — positive or negated dependencies changed, handled
+      by polarity. Deletions run delete-and-rederive (DRed:
+      over-delete the consequences of the removed facts, then re-derive
+      survivors that still have an alternative proof); insertions
+      re-run the semi-naive [focus] joins seeded with the accumulated
+      delta. A predicate read under negation is final when its stratum
+      is reached, so a fact it {e gains} can only block rule instances —
+      each [not p(u)] rule rewritten as [p(u), body] with every negation
+      dropped, focused on the added facts, seeds DRed's over-deletion —
+      and a fact it {e loses} can only unblock them: the same rewrite
+      with the full body, focused on the removed facts and negations
+      read against the current model, seeds the insertion pass;
+    - {b recompute} — a predicate read inside an aggregate changed: the
+      stratum is rebuilt from the maintained strata below it, and the
+      diff against its old extent continues upward as the delta.
 
     This is the engine half of the mediator's registration/anchoring
     lifecycle (paper Fig. 3): a source pushing new observations, or a
@@ -81,8 +87,8 @@ val init :
     speeds up the {e initial} materialization only: the handle keeps
     the full rule set, because a delta may revive a pruned rule — and
     then every new instantiation involves a delta fact, which the
-    semi-naive focus joins (and stratum recomputation) of {!apply}
-    cover, so maintained results still equal a full rebuild.
+    focus joins of {!apply} cover (over a positive or a negated
+    literal), so maintained results still equal a full rebuild.
 
     [minimize] is the semantic-minimization hook of
     {!Engine.config.minimize}. Unlike [prune], its rewrites must be

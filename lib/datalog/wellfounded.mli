@@ -16,6 +16,9 @@ type model = {
   true_facts : Database.t;   (** facts true in the well-founded model *)
   undefined : Database.t;    (** facts with truth value "undefined" *)
   alternations : int;        (** number of Γ applications performed *)
+  skolems_suppressed : int;
+      (** skolem heads deeper than [max_term_depth] that the Γ
+          application producing [true_facts] suppressed *)
 }
 
 val compute :

@@ -545,25 +545,31 @@ let add_ivd t rules =
 let add_ivd_text t src =
   match Flogic.Fl_parser.parse_program ~signature:t.sg src with
   | Error e -> Error e
-  | Ok parsed ->
+  | Ok { Flogic.Fl_parser.rules; signature; _ } -> (
     let module D = Analysis.Diagnostic in
-    let errors =
-      if t.cfg.lint = Lint_reject then
-        D.errors
-          (ivd_diags t parsed.Flogic.Fl_parser.rules
-          @ ivd_cost_diags t parsed.Flogic.Fl_parser.rules)
-      else []
-    in
-    if errors <> [] then
-      Error
-        (Printf.sprintf "view rejected by lint:\n%s"
-           (String.concat "\n"
-              (List.map (Format.asprintf "%a" D.pp) errors)))
-    else begin
-      t.sg <- parsed.Flogic.Fl_parser.signature;
-      add_ivd t parsed.Flogic.Fl_parser.rules;
-      Ok ()
-    end
+    (* A view that does not compile to safe Datalog would make every
+       later materialization raise: refuse it before anything changes. *)
+    match
+      try Datalog.Program.make (Flogic.Compile.rules signature rules)
+      with Flogic.Compile.Compile_error e -> Error e
+    with
+    | Error e -> Error ("view rejected: " ^ e)
+    | Ok _ ->
+      let errors =
+        if t.cfg.lint = Lint_reject then
+          D.errors (ivd_diags t rules @ ivd_cost_diags t rules)
+        else []
+      in
+      if errors <> [] then
+        Error
+          (Printf.sprintf "view rejected by lint:\n%s"
+             (String.concat "\n"
+                (List.map (Format.asprintf "%a" D.pp) errors)))
+      else begin
+        t.sg <- signature;
+        add_ivd t rules;
+        Ok ()
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation: pull each source's data through its fault
@@ -760,7 +766,15 @@ let update_source t ~source ?(additions = []) ?(deletions = []) () =
 let query_text t src =
   match Flogic.Fl_parser.parse_query ~signature:t.sg src with
   | Error e -> Error e
-  | Ok lits -> Ok (query t lits)
+  | Ok lits -> (
+    try Ok (query t lits)
+    with Datalog.Engine.Undefined_atoms n ->
+      Error
+        (Printf.sprintf
+           "the mediated base leaves %d atom%s undefined under the \
+            well-founded semantics"
+           n
+           (if n = 1 then "" else "s")))
 
 let holds t m = query t [ Molecule.Pos m ] <> []
 

@@ -117,8 +117,10 @@ val update_source :
 
 val add_ivd_text : t -> string -> (unit, string) result
 (** IVD in FL surface syntax, parsed with the mediator's accumulated
-    signature. Under [Lint_reject], error-severity provenance findings
-    (references to unregistered namespaces) fail the installation. *)
+    signature. A view whose compiled rules are not range-restricted is
+    refused with the mediator unchanged. Under [Lint_reject],
+    error-severity provenance findings (references to unregistered
+    namespaces) fail the installation too. *)
 
 (** {1 Introspection} *)
 
@@ -178,6 +180,10 @@ val last_maintenance : t -> Datalog.Maintain.report option
 
 val query : t -> Flogic.Molecule.lit list -> Logic.Subst.t list
 val query_text : t -> string -> (Logic.Subst.t list, string) result
+(** Parse and run an FL query. [Error] on a parse error, and when the
+    mediated base falls back to the well-founded semantics and leaves
+    atoms undefined ({!Datalog.Engine.Undefined_atoms}). *)
+
 val holds : t -> Flogic.Molecule.t -> bool
 val consistent : t -> bool
 (** No integrity-constraint witnesses in the mediated object base. *)

@@ -15,6 +15,12 @@
    rule-defined predicates (base assertion / base retraction — the
    mediator's update path) and deletions of absent facts, so the
    agreement also pins the documented retract-and-rederive semantics.
+   Further batches stress maintenance through negation: a
+   deletion-heavy batch retracting about half of the base, and batches
+   confined to predicates some rule reads under negation (both
+   directions, batched and fact by fact). The interpreted maintenance
+   handle must track the compiled one, and programs without aggregates
+   must never fall back to rebuilding a stratum.
 
    The run is deterministic: case [i] uses seed [base*10_000 + i] where
    [base] comes from KIND_DIFF_SEED (default 0), so a failure report
@@ -212,29 +218,114 @@ let run_case seed =
   check_same (ctx "compiled == interpreted")
     (Engine.materialize ~config:interpreted_config p edb)
     full;
-  let fresh () = fail_on_error "Maintain.init" (Maintain.init p edb) in
-  let h = fresh () in
+  let fresh ?compiled edb =
+    fail_on_error "Maintain.init" (Maintain.init ?compiled p edb)
+  in
+  (* without aggregates, a change to a negated input propagates by
+     polarity: no stratum is ever rebuilt *)
+  let aggregates =
+    List.exists
+      (fun (r : Rule.t) ->
+        List.exists (function Literal.Agg _ -> true | _ -> false) r.Rule.body)
+      rules
+  in
+  let apply what h d =
+    let rep = fail_on_error what (Maintain.apply h d) in
+    if not aggregates then
+      Alcotest.(check int) (ctx (what ^ ": no stratum recomputed")) 0
+        rep.Maintain.recomputed
+  in
+  let apply_one_by_one what h (d : Maintain.delta) =
+    List.iter
+      (fun f ->
+        apply (what ^ ", single deletion") h (Maintain.delta ~deletions:[ f ] ()))
+      d.Maintain.deletions;
+    List.iter
+      (fun f ->
+        apply (what ^ ", single addition") h (Maintain.delta ~additions:[ f ] ()))
+      d.Maintain.additions
+  in
+  let h = fresh edb in
   check_same (ctx "Maintain.init == materialize") (Maintain.db h) full;
   (* a batch delta equals re-materializing the updated EDB *)
   let d = gen_delta st ~edb_facts ~idb in
   let full' = Engine.materialize p (updated_edb edb d) in
-  ignore (fail_on_error "apply batch" (Maintain.apply h d));
+  apply "apply batch" h d;
   check_same (ctx "batch delta == re-materialize") (Maintain.db h) full';
+  (* the interpreted maintenance path is the oracle of the compiled one *)
+  let hi = fresh ~compiled:false edb in
+  apply "apply batch, interpreted" hi d;
+  check_same (ctx "interpreted maintenance == compiled") (Maintain.db hi)
+    (Maintain.db h);
   (* one-fact-at-a-time deltas land in the same state *)
-  let h1 = fresh () in
-  List.iter
-    (fun f ->
-      ignore
-        (fail_on_error "apply single deletion"
-           (Maintain.apply h1 (Maintain.delta ~deletions:[ f ] ()))))
-    d.Maintain.deletions;
-  List.iter
-    (fun f ->
-      ignore
-        (fail_on_error "apply single addition"
-           (Maintain.apply h1 (Maintain.delta ~additions:[ f ] ()))))
-    d.Maintain.additions;
+  let h1 = fresh edb in
+  apply_one_by_one "apply" h1 d;
   check_same (ctx "one-by-one == batch") (Maintain.db h1) (Maintain.db h);
+  (* deletion-heavy: retract about half of the base together with base
+     assertions on rule-defined predicates *)
+  let asserted = List.init 3 (fun _ -> ground_atom st (pick st idb)) in
+  let edb_a = Database.of_facts (edb_facts @ asserted) in
+  let heavy =
+    Maintain.delta
+      ~deletions:
+        (List.filter (fun _ -> Random.State.bool st) edb_facts @ asserted)
+      ()
+  in
+  let full_heavy = Engine.materialize p (updated_edb edb_a heavy) in
+  let ha = fresh edb_a and hai = fresh ~compiled:false edb_a in
+  apply "apply deletion-heavy batch" ha heavy;
+  check_same (ctx "deletion-heavy batch == re-materialize") (Maintain.db ha)
+    full_heavy;
+  apply "apply deletion-heavy batch, interpreted" hai heavy;
+  check_same (ctx "deletion-heavy: interpreted == compiled") (Maintain.db hai)
+    full_heavy;
+  (* batches confined to the predicates read under negation: growing
+     them blocks rule instances, shrinking them unblocks some *)
+  let negated =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (r : Rule.t) ->
+           List.filter_map
+             (function Literal.Neg a -> Some a.Atom.pred | _ -> None)
+             r.Rule.body)
+         rules)
+  in
+  if negated <> [] then begin
+    let arity q = List.assoc q (edb_preds @ idb) in
+    let gen n =
+      List.init n (fun _ ->
+          let q = pick st negated in
+          ground_atom st (q, arity q))
+    in
+    let grow = Maintain.delta ~additions:(gen (2 + Random.State.int st 5)) () in
+    let shrink =
+      Maintain.delta
+        ~deletions:
+          (List.filter
+             (fun (a : Atom.t) ->
+               List.mem a.Atom.pred negated && Random.State.bool st)
+             (edb_facts @ grow.Maintain.additions)
+          @ gen 1)
+        ()
+    in
+    let edb_grown = updated_edb edb grow in
+    let hn = fresh edb and hn1 = fresh edb in
+    let hni = fresh ~compiled:false edb in
+    apply "apply negated growth" hn grow;
+    check_same (ctx "negated growth == re-materialize") (Maintain.db hn)
+      (Engine.materialize p edb_grown);
+    apply "apply negated shrinkage" hn shrink;
+    check_same (ctx "negated shrinkage == re-materialize") (Maintain.db hn)
+      (Engine.materialize p (updated_edb edb_grown shrink));
+    apply_one_by_one "negated growth" hn1 grow;
+    apply_one_by_one "negated shrinkage" hn1 shrink;
+    check_same (ctx "negated: one-by-one == batch") (Maintain.db hn1)
+      (Maintain.db hn);
+    apply "apply negated growth, interpreted" hni grow;
+    apply "apply negated shrinkage, interpreted" hni shrink;
+    check_same (ctx "negated: interpreted == compiled") (Maintain.db hni)
+      (Maintain.db hn)
+  end;
   (* growing the program incrementally equals starting with all of it *)
   let k = List.length rules / 2 in
   let first = List.filteri (fun i _ -> i < k) rules in
@@ -244,7 +335,7 @@ let run_case seed =
   in
   ignore (fail_on_error "extend_rules" (Maintain.extend_rules h2 rest));
   check_same (ctx "extend_rules == whole program") (Maintain.db h2) full;
-  ignore (fail_on_error "apply after extend" (Maintain.apply h2 d));
+  apply "apply after extend" h2 d;
   check_same (ctx "delta after extend == re-materialize") (Maintain.db h2) full';
   (* the static cardinality analysis is sound on the initial model:
      every predicate's actual extent lies in its inferred interval —
@@ -328,7 +419,30 @@ let wf_report () =
      too must be a pure optimization *)
   check_same "wf: compiled == interpreted"
     (Engine.materialize ~config:interpreted_config p edb)
-    db
+    db;
+  (* a total unstratified program that also grows a skolem chain: the
+     depth guard cuts it, and the report says so *)
+  let chain =
+    Program.make_exn
+      (Program.rules p
+      @ [
+          Rule.make
+            (Atom.make "chain" [ Term.app "f" [ v "X" ] ])
+            [ Literal.pos "chain" [ v "X" ] ];
+          Rule.fact (Atom.make "chain" [ s "a" ]);
+        ])
+  in
+  let rep = ref Engine.empty_report in
+  let db = Engine.materialize ~report:rep chain edb in
+  Alcotest.(check bool) "chain: fell back to well-founded" false
+    !rep.Engine.stratified;
+  Alcotest.(check bool) "chain: win(b) holds" true
+    (Database.mem db (Atom.make "win" [ s "b" ]));
+  Alcotest.(check int) "chain: cut at the depth bound (a has depth 1)"
+    Engine.default_config.Engine.max_term_depth
+    (Database.count db "chain");
+  Alcotest.(check bool) "chain: skolems_suppressed counted" true
+    (!rep.Engine.skolems_suppressed > 0)
 
 (* ------------------------------------------------------------------ *)
 (* The new kernel counters: compiled runs answer joins through the

@@ -60,8 +60,8 @@ let test_extend_duplicate_is_noop () =
   | Error e -> Alcotest.failf "maintain failed: %s" e);
   Alcotest.(check int) "unchanged" before (Database.cardinal db)
 
-(* negation over the closure: additions recompute the negated stratum,
-   and the result equals the rebuild *)
+(* negation over the closure: additions to the negated closure block
+   iso instances, and the result equals the rebuild *)
 let test_extend_negation_equals_rebuild () =
   let p =
     Program.make_exn

@@ -107,6 +107,37 @@ let test_ivd () =
     (List.length Neuro.Sources.calcium_binders)
     (List.length answers)
 
+(* A view that does not compile to safe Datalog is refused and leaves
+   the mediator as it was; a safe view whose well-founded model is not
+   total makes queries fail with [Error], not an exception. *)
+let test_bad_ivd () =
+  let config =
+    { Mediator.default_config with Mediator.lint = Mediator.Lint_reject }
+  in
+  let med = fresh_mediator ~config () in
+  let q = "?- X : spine." in
+  let count () =
+    match Mediator.query_text med q with
+    | Ok answers -> List.length answers
+    | Error e -> Alcotest.failf "query failed: %s" e
+  in
+  let n0 = count () in
+  List.iter
+    (fun view ->
+      (match Mediator.add_ivd_text med view with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "unsafe view accepted: %s" view);
+      Alcotest.(check int) (view ^ ": no view installed") 0
+        (List.length (Mediator.ivds med));
+      Alcotest.(check int) (view ^ ": queries still answer") n0 (count ()))
+    [ "bad(X) :- not X : spine."; "v(X, Y) :- X : spine." ];
+  (match Mediator.add_ivd_text med "w(X) :- X : spine, not w(X)." with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "safe view refused: %s" e);
+  match Mediator.query_text med q with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a base with undefined atoms answered"
+
 let test_extend_dmap () =
   let med = fresh_mediator () in
   (match Mediator.extend_dmap med Neuro.Anatom.fig3_registration with
@@ -343,6 +374,35 @@ let test_incremental_updates () =
     | Ok answers -> List.length answers
     | Error e -> Alcotest.fail e
   in
+  (* the maintained IC witnesses must equal a cold materialization's,
+     and no stratum may be rebuilt: changes reach the denials, which
+     read isa and the domain map's dl_sat_k under negation, by polarity *)
+  let witnesses m =
+    List.sort compare
+      (List.map
+         (fun (w : Flogic.Ic.witness) ->
+           Printf.sprintf "%s(%s)" w.Flogic.Ic.name
+             (String.concat ", "
+                (List.map Logic.Term.to_string w.Flogic.Ic.args)))
+         (Mediator.violations m))
+  in
+  let check_maintained what =
+    let cold = Mediator.create ~config Neuro.Anatom.full in
+    List.iter
+      (fun src ->
+        match Mediator.register_source cold src with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e)
+      (Mediator.sources med);
+    Alcotest.(check (list string))
+      (what ^ ": violations == cold mediator")
+      (witnesses cold) (witnesses med);
+    match Mediator.last_maintenance med with
+    | None -> Alcotest.fail "no maintenance report"
+    | Some r ->
+      Alcotest.(check int) (what ^ ": no stratum recomputed") 0
+        r.Datalog.Maintain.recomputed
+  in
   let n0 = ask () in
   Alcotest.(check int) "cached repeat agrees" n0 (ask ());
   let st = Mediator.cache_stats med in
@@ -364,6 +424,7 @@ let test_incremental_updates () =
       (rep.Datalog.Maintain.touched <> [])
   | Ok None -> Alcotest.fail "update did not go through maintenance"
   | Error e -> Alcotest.fail e);
+  check_maintained "addition";
   Alcotest.(check int) "new observation visible" (n0 + 1) (ask ());
   (match Mediator.last_maintenance med with
   | None -> Alcotest.fail "no maintenance report"
@@ -374,6 +435,7 @@ let test_incremental_updates () =
     Alcotest.(check bool) "facts removed" true (rep.Datalog.Maintain.removed > 0)
   | Ok None -> Alcotest.fail "deletion did not go through maintenance"
   | Error e -> Alcotest.fail e);
+  check_maintained "retraction";
   Alcotest.(check int) "retraction restores answers" n0 (ask ());
   let st' = Mediator.cache_stats med in
   Alcotest.(check int) "still a single full rebuild" 1 st'.Mediator.rebuilt;
@@ -436,6 +498,7 @@ let suites =
         Alcotest.test_case "conceptual lifting" `Quick test_lifting;
         Alcotest.test_case "text queries" `Quick test_query_text;
         Alcotest.test_case "IVDs" `Quick test_ivd;
+        Alcotest.test_case "unsafe or undefined IVDs" `Quick test_bad_ivd;
         Alcotest.test_case "extend domain map" `Quick test_extend_dmap;
         Alcotest.test_case "register via XML" `Quick test_register_via_xml;
         Alcotest.test_case "consistency" `Quick test_consistency_check;

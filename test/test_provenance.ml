@@ -155,8 +155,9 @@ let test_retract_rederives () =
   Alcotest.(check bool) "tc(b,d) gone" false
     (Database.mem db (atom "tc" [ s "b"; s "d" ]))
 
-(* negation over the closure: cutting the cycle recomputes the negated
-   stratum, and the result equals the rebuild *)
+(* negation over the closure: cutting the cycle removes tc facts read
+   under negation, which unblocks iso(a); the result equals the
+   rebuild *)
 let test_retract_negation_equals_rebuild () =
   let rules =
     tc_rules
