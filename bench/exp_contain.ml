@@ -1,8 +1,8 @@
-(* CONTAIN — semantic rule minimization as an engine hook: run the
-   join-kernel workloads (plus one workload whose rules carry
-   redundant body atoms the containment analysis can drop) with and
-   without [Engine.config.minimize], check the answers agree, and
-   record how long the containment analysis itself takes. Writes
+(* CONTAIN — semantic rule minimization: materialize the join-kernel
+   workloads (plus one workload whose rules carry redundant body atoms
+   the containment analysis can drop) as written and as rewritten by
+   [Contain.minimize], check the answers agree, and record how long
+   the containment analysis itself takes. Writes
    BENCH_contain.json; [smoke] is the @contain-smoke regression gate —
    minimized plans must never be more than 1.1x slower than the
    untouched ones, and the analysis must stay under 10 ms per
@@ -24,9 +24,9 @@ let pos = Logic.Literal.pos
 (* Workload: joins written with redundant body atoms. [a(X, W)] folds
    onto [a(X, Y)] (W -> Y) and [b(Y, U)] onto [b(Y, Z)] (U -> Z), so
    the minimized rule does two joins where the original does four —
-   the gap the containment hook is supposed to close. The join-kernel
+   the gap minimization is supposed to close. The join-kernel
    workloads (tc-deep, dm-closure, ivd-join) are already minimal, so
-   on them the hook only has overhead to show. *)
+   on them the rewrite must leave the plans as fast as before. *)
 
 let redundant_rules =
   [
@@ -68,24 +68,25 @@ type row = {
   base_ms : float;
   min_ms : float;
   analysis_ms : float;
-  atoms_minimized : int;
+  atoms_dropped : int;
   derived : int;
 }
 
 let measure_pair (name, p) =
   let rules = Datalog.Program.rules p in
   (* the analysis is timed once, cold: build the context (harvesting
-     ground sub facts) and minimize every rule, exactly what the hook
-     does on the engine's first call *)
+     ground sub facts) and minimize every rule *)
   let t0 = Unix.gettimeofday () in
-  let ctx = Contain.make_ctx ~rules () in
-  ignore (Contain.minimize ctx rules);
+  let minimized = Contain.minimize (Contain.make_ctx ~rules ()) rules in
   let analysis_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  let base_ms, rep_b = Exp_join.measure ~config:Engine.default_config p in
-  let min_config =
-    { Engine.default_config with Engine.minimize = Some (Contain.minimize ctx) }
+  let body_atoms rs =
+    List.fold_left (fun n (r : Logic.Rule.t) -> n + List.length r.Logic.Rule.body) 0 rs
   in
-  let min_ms, rep_m = Exp_join.measure ~config:min_config p in
+  let base_ms, rep_b = Exp_join.measure ~config:Engine.default_config p in
+  let min_ms, rep_m =
+    Exp_join.measure ~config:Engine.default_config
+      (Datalog.Program.make_exn minimized)
+  in
   if rep_b.Engine.derived <> rep_m.Engine.derived then
     failwith
       (Printf.sprintf
@@ -97,7 +98,7 @@ let measure_pair (name, p) =
     base_ms;
     min_ms;
     analysis_ms;
-    atoms_minimized = rep_m.Engine.atoms_minimized;
+    atoms_dropped = body_atoms rules - body_atoms minimized;
     derived = rep_m.Engine.derived;
   }
 
@@ -121,7 +122,7 @@ let run () =
            Util.fms r.min_ms;
            Printf.sprintf "%.2fx" (r.min_ms /. r.base_ms);
            Util.fms r.analysis_ms;
-           string_of_int r.atoms_minimized;
+           string_of_int r.atoms_dropped;
          ])
        rows);
   let fields =
@@ -130,7 +131,8 @@ let run () =
         "\"semantic rule minimization: containment-minimized programs vs \
          originals\"" );
       ( "protocol",
-        "\"fastest of 5 repetitions per config; analysis (context build + \
+        "\"fastest of 5 repetitions per program; the minimized program is \
+         built once, outside the timed runs; analysis (context build + \
          minimization) timed once, cold\"" );
     ]
     @ List.concat_map
@@ -141,7 +143,7 @@ let run () =
             (k ^ "_minimized_ms", Printf.sprintf "%.3f" r.min_ms);
             (k ^ "_ratio", Printf.sprintf "%.3f" (r.min_ms /. r.base_ms));
             (k ^ "_analysis_ms", Printf.sprintf "%.3f" r.analysis_ms);
-            (k ^ "_atoms_minimized", string_of_int r.atoms_minimized);
+            (k ^ "_atoms_dropped", string_of_int r.atoms_dropped);
             (k ^ "_derived", string_of_int r.derived);
           ])
         rows
@@ -178,7 +180,7 @@ let smoke () =
          else "ANALYSIS-TOO-SLOW"))
     rows;
   (match List.find_opt (fun r -> r.name = "redundant-join") rows with
-  | Some r when r.atoms_minimized = 0 ->
+  | Some r when r.atoms_dropped = 0 ->
     Printf.printf "  redundant-join: no atoms dropped (expected > 0)\n";
     incr failures
   | _ -> ());

@@ -31,8 +31,6 @@ let experiments =
     ("join", "join-kernel: compiled plans vs interpreted", Exp_join.run);
     ("faults", "fault-injection runtime: overhead and fast-fail", Exp_faults.run);
     ("join-smoke", "join-kernel regression gate vs BENCH_join.json", Exp_join.smoke);
-    ("cost", "cardinality/cost oracle vs greedy planner", Exp_cost.run);
-    ("cost-smoke", "cost-oracle regression gate (self-contained)", Exp_cost.smoke);
     ("contain", "semantic minimization: minimized vs original programs", Exp_contain.run);
     ("contain-smoke", "minimization regression gate (self-contained)", Exp_contain.smoke);
     ("recovery", "crash recovery: checkpoint + WAL replay vs cold rebuild", Exp_recovery.run);
@@ -50,8 +48,7 @@ let () =
          asked for *)
       List.filter_map
         (fun (id, _, _) ->
-          if id = "join-smoke" || id = "cost-smoke" || id = "contain-smoke"
-             || id = "recovery-smoke"
+          if id = "join-smoke" || id = "contain-smoke" || id = "recovery-smoke"
           then None
           else Some id)
         experiments

@@ -247,9 +247,9 @@ let lint_cmd =
   in
   let strict =
     Arg.(value & flag & info [ "strict" ]
-           ~doc:"exit nonzero on warnings too, and treat a negative cycle \
-                 as an error rather than relying on the well-founded \
-                 fallback")
+           ~doc:"exit nonzero on warnings too (a negative cycle, which the \
+                 engine evaluates under the well-founded semantics, is a \
+                 warning)")
   in
   let scale =
     Arg.(value & opt int 10 & info [ "scale" ] ~docv:"N"
@@ -266,7 +266,7 @@ let lint_cmd =
             ~location:(Analysis.Diagnostic.Source f) e;
         ]
       | Ok parsed ->
-        Analysis.Kindlint.lint_program ~fallback_ok:(not strict)
+        Analysis.Kindlint.lint_program
           ~positions:parsed.Flogic.Fl_parser.rule_positions
           (Flogic.Fl_program.make
              ~signature:parsed.Flogic.Fl_parser.signature
@@ -643,7 +643,7 @@ let cost_cmd =
       List.iter
         (fun (p, iv) -> Format.printf "    %-28s %a@." p Card.pp_interval iv)
         r.C.intervals;
-      if r.C.costs <> [] then Format.printf "  per-rule plans:@.";
+      if r.C.costs <> [] then Format.printf "  per-rule cost-model orders:@.";
       List.iter
         (fun ((rule : Logic.Rule.t), (c : Card.rule_cost)) ->
           Format.printf "    %s@." (Logic.Rule.to_string rule);

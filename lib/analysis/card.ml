@@ -9,8 +9,9 @@ module SS = Set.Make (String)
    its fixpoint extent, a per-column bound on the number of distinct
    values, and single-column key flags. The same per-rule walk that
    produces the sound size bound also runs a System-R-style selectivity
-   heuristic, which is what orders literals for the cost oracle — the
-   bound must be sound, the order only has to be good. *)
+   heuristic, which orders literals for the cost report and the
+   cross-product lint — the bound must be sound, the order only has to
+   be good. *)
 
 (* ------------------------------------------------------------------ *)
 (* Saturating interval arithmetic. [None] is "unbounded": the honest
@@ -316,11 +317,10 @@ let lit_evaluable bound lit =
 
 (* mirror of [Plan.compile]'s scoring, to cost the order the engine
    would pick on its own *)
-let syntactic_order (r : Rule.t) ~focus =
+let syntactic_order (r : Rule.t) =
   let lits = Array.of_list r.Rule.body in
   let n = Array.length lits in
   let used = Array.make n false in
-  let focus_idx = match focus with Some i -> i | None -> -1 in
   let order = ref [] in
   let bound = ref SS.empty in
   (try
@@ -332,7 +332,7 @@ let syntactic_order (r : Rule.t) ~focus =
            let boundness =
              List.length (List.filter (fun x -> SS.mem x !bound) vs)
            in
-           if i = focus_idx then 1000 + boundness else 100 + boundness
+           100 + boundness
          | Literal.Neg _ | Literal.Cmp _ | Literal.Assign _ -> 500
          | Literal.Agg _ -> 10
        in
@@ -365,11 +365,10 @@ type walk = {
   w_head_keys : bool array;
 }
 
-let walk env (r : Rule.t) ~focus ~forced_order =
+let walk env (r : Rule.t) ~forced_order =
   let lits = Array.of_list r.Rule.body in
   let n = Array.length lits in
   let used = Array.make n false in
-  let focus_idx = match focus with Some i -> i | None -> -1 in
   let bound = ref SS.empty in
   let dvar : (string, int option) Hashtbl.t = Hashtbl.create 8 in
   let note_var x d =
@@ -491,40 +490,36 @@ let walk env (r : Rule.t) ~focus ~forced_order =
   in
   let order = ref [] in
   let pick_greedy () =
-    (* focus literal first: it is the delta scan *)
-    if focus_idx >= 0 && not used.(focus_idx) then focus_idx
-    else begin
-      let best = ref (-1) in
-      let best_key = ref (3, None, 0) in
-      for i = 0 to n - 1 do
-        if (not used.(i)) && lit_evaluable !bound lits.(i) then begin
-          let est =
-            match lits.(i) with
-            | Literal.Pos a when not (Literal.is_builtin a.Atom.pred) ->
-              let _, _, _, _, _, matches_h = probe_estimate a in
-              sat_mul !rows_cost matches_h
-            | _ -> !rows_cost
-          in
-          let key = (category i, est, i) in
-          let less (c1, e1, i1) (c2, e2, i2) =
-            c1 < c2
-            || (c1 = c2
-               &&
-               match (e1, e2) with
-               | Some a, Some b -> a < b || (a = b && i1 < i2)
-               | Some _, None -> true
-               | None, Some _ -> false
-               | None, None -> i1 < i2)
-          in
-          if !best = -1 || less key !best_key then begin
-            best := i;
-            best_key := key
-          end
+    let best = ref (-1) in
+    let best_key = ref (3, None, 0) in
+    for i = 0 to n - 1 do
+      if (not used.(i)) && lit_evaluable !bound lits.(i) then begin
+        let est =
+          match lits.(i) with
+          | Literal.Pos a when not (Literal.is_builtin a.Atom.pred) ->
+            let _, _, _, _, _, matches_h = probe_estimate a in
+            sat_mul !rows_cost matches_h
+          | _ -> !rows_cost
+        in
+        let key = (category i, est, i) in
+        let less (c1, e1, i1) (c2, e2, i2) =
+          c1 < c2
+          || (c1 = c2
+             &&
+             match (e1, e2) with
+             | Some a, Some b -> a < b || (a = b && i1 < i2)
+             | Some _, None -> true
+             | None, Some _ -> false
+             | None, None -> i1 < i2)
+        in
+        if !best = -1 || less key !best_key then begin
+          best := i;
+          best_key := key
         end
-      done;
-      if !best = -1 then raise Stuck;
-      !best
-    end
+      end
+    done;
+    if !best = -1 then raise Stuck;
+    !best
   in
   (match forced_order with
   | Some o ->
@@ -608,7 +603,6 @@ type result = {
   env : string -> pinfo;
   rules : Rule.t list;
   costs : rule_cost option array;  (* aligned with [rules]; None for facts *)
-  memo : (Rule.t * int option, int list option) Hashtbl.t;
 }
 
 let analyze ?(max_steps = 200_000) ?edb ?assume_nonempty ?seed rules =
@@ -658,7 +652,7 @@ let analyze ?(max_steps = 200_000) ?edb ?assume_nonempty ?seed rules =
         (fun r ->
           if rule_growing comp r then None
           else
-            match walk env r ~focus:None ~forced_order:None with
+            match walk env r ~forced_order:None with
             | w -> Some w
             | exception Stuck -> None)
         rs
@@ -729,13 +723,13 @@ let analyze ?(max_steps = 200_000) ?edb ?assume_nonempty ?seed rules =
                    growing;
                  }
              in
-             match walk env r ~focus:None ~forced_order:None with
+             match walk env r ~forced_order:None with
              | w ->
                let greedy =
-                 match syntactic_order r ~focus:None with
+                 match syntactic_order r with
                  | None -> None
                  | Some o -> (
-                   match walk env r ~focus:None ~forced_order:(Some o) with
+                   match walk env r ~forced_order:(Some o) with
                    | wg -> wg.w_cost
                    | exception Stuck -> None)
                in
@@ -743,10 +737,10 @@ let analyze ?(max_steps = 200_000) ?edb ?assume_nonempty ?seed rules =
              | exception Stuck -> None)
          rules)
   in
-  { env; rules; costs; memo = Hashtbl.create 64 }
+  { env; rules; costs }
 
 (* ------------------------------------------------------------------ *)
-(* Accessors and the engine-facing oracle *)
+(* Accessors *)
 
 let card res p = (res.env p).card
 let column_bounds res p = (res.env p).cols
@@ -774,26 +768,3 @@ let rule_costs res =
        (fun i r ->
          match res.costs.(i) with Some c -> [ (r, c) ] | None -> [])
        res.rules)
-
-let order res r ~focus =
-  let k = (r, focus) in
-  match Hashtbl.find_opt res.memo k with
-  | Some o -> o
-  | None ->
-    let o =
-      if Rule.is_fact r then None
-      else
-        match walk res.env r ~focus ~forced_order:None with
-        | w -> Some w.w_order
-        | exception Stuck -> None
-    in
-    Hashtbl.replace res.memo k o;
-    o
-
-let estimate res p = (card res p).hi
-
-let oracle res =
-  {
-    Datalog.Engine.order = (fun r ~focus -> order res r ~focus);
-    estimate = (fun p -> estimate res p);
-  }

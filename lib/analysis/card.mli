@@ -22,10 +22,11 @@
     predicates on dependency cycles, so DAG programs keep exact counts.
 
     On top of the intervals, the same per-rule walk runs a
-    selectivity-based join-cost model producing literal orderings — the
-    {!oracle} the engine's planner consumes
-    ({!Datalog.Engine.config}[.cost_oracle]) — and the raw material for
-    the {!Cost_lint} diagnostics pass. *)
+    selectivity-based join-cost model producing literal orderings and
+    costs — the raw material for the {!Cost_lint} diagnostics pass, the
+    mediator's [cost_budget] and [kindctl cost]. The engine's planner
+    does not read them: every plan uses {!Datalog.Plan}'s greedy
+    order. *)
 
 exception Stuck
 (** Raised internally when a body cannot be ordered (not
@@ -51,9 +52,8 @@ type rule_cost = {
   est : interval;  (** sound bound on tuples the rule derives *)
   cost : int option;  (** heuristic work units for [order] *)
   greedy_cost : int option;
-      (** the same cost model applied to the syntactic greedy order the
-          planner would pick unaided — [cost] vs [greedy_cost] is the
-          static case for the oracle *)
+      (** the same cost model applied to the syntactic greedy order
+          {!Datalog.Plan} compiles — the order the engine runs *)
   cross_products : int;
       (** join steps scanning a positive literal that shares no bound
           variable with what came before (counted only when both sides
@@ -102,13 +102,3 @@ val intervals : result -> (string * interval) list
 
 val rule_costs : result -> (Logic.Rule.t * rule_cost) list
 (** Cost records for every non-fact rule, in input order. *)
-
-val order : result -> Logic.Rule.t -> focus:int option -> int list option
-(** The cost-model literal order for a rule (memoized); [None] when the
-    body cannot be ordered. This is what the {!oracle} serves. *)
-
-val estimate : result -> string -> int option
-(** [card]'s upper bound, oracle-shaped. *)
-
-val oracle : result -> Datalog.Engine.cost_oracle
-(** Package the analysis for {!Datalog.Engine.config}[.cost_oracle]. *)

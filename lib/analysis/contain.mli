@@ -65,8 +65,9 @@ val minimize_rule : ctx -> Logic.Rule.t -> Logic.Rule.t
     Facts and single-atom bodies are returned unchanged. *)
 
 val minimize : ctx -> Logic.Rule.t list -> Logic.Rule.t list
-(** {!minimize_rule} on every rule — the shape of the
-    [Engine.config.minimize] hook. *)
+(** {!minimize_rule} on every rule. The engine does not apply it: a
+    caller that wants the smaller program builds it with this and
+    hands that to the engine. *)
 
 val redundant_view :
   ctx -> against:Logic.Rule.t list -> Logic.Rule.t list -> bool

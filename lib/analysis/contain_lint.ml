@@ -5,8 +5,8 @@
      contradictory comparisons, a negated atom implied by the positive
      body, disjoint-concept membership).
    - [implied-atom]: a body atom is entailed by the rest of the body
-     under the chase — the join is pure overhead (the
-     [Engine.config.minimize] hook would drop it).
+     under the chase — the join is pure overhead ([Contain.minimize_rule]
+     drops it; the engine evaluates the rule as written).
    - [rule-implied-by-rule]: every answer of one rule is produced by
      another rule of the program; the contained rule is dead weight.
      Syntactic duplicates (including alpha-variants) are left to
@@ -96,8 +96,8 @@ let lint ?dm ?(disjoint = []) ?(gcm = true) ?(loc = default_loc) rules =
                          (List.map Logic.Atom.to_string atoms))
                       (if List.length atoms = 1 then "is" else "are each"))
                    ~hint:
-                     "drop the atom, or enable config.minimize to have the \
-                      engine drop it before planning";
+                     "drop the atom: the engine evaluates the rule as \
+                      written";
                ])
          rules)
   in

@@ -21,13 +21,13 @@ let open_predicate ?signature ?(known_predicates = []) rules =
     || List.mem p known_predicates
     || (List.mem p Rule_lint.reserved_predicates && not (SS.mem p defined))
 
-let lint_datalog ?signature ?known_predicates ?fallback_ok ?cones ?edb ?budget
-    ?seed ?dm ?(gcm = true) p =
+let lint_datalog ?signature ?known_predicates ?cones ?edb ?budget ?seed ?dm
+    ?(gcm = true) p =
   let rules = Datalog.Program.rules p in
   let assume_nonempty = open_predicate ?signature ?known_predicates rules in
   D.normalize
     (Rule_lint.lint ?signature ?known_predicates rules
-    @ Strat_lint.lint ?fallback_ok p
+    @ Strat_lint.lint p
     @ Type_lint.lint ?cones ~assume_nonempty ?edb rules
     @ Cost_lint.lint ?budget ~assume_nonempty ?seed ?edb rules
     @ Contain_lint.lint ?dm ~gcm rules
@@ -112,8 +112,8 @@ let declared_universe rules =
   (!classes, !methods)
 
 let lint_program ?(known_class = fun _ -> false)
-    ?(known_method = fun _ -> false) ?known_predicates ?fallback_ok
-    ?(positions = []) ?cones ?(sources = []) ?class_sources ?budget ?seed ?dm
+    ?(known_method = fun _ -> false) ?known_predicates ?(positions = []) ?cones
+    ?(sources = []) ?class_sources ?budget ?seed ?dm
     (p : Flogic.Fl_program.t) =
   let mol_pos i = List.nth_opt positions i in
   let mol_loc i r =
@@ -238,13 +238,13 @@ let lint_program ?(known_class = fun _ -> false)
         in
         match Datalog.Program.make safe with
         | Ok p ->
-          Strat_lint.lint ?fallback_ok ~loc:dl_loc p
+          Strat_lint.lint ~loc:dl_loc p
           @ type_diags p @ cost_diags p @ contain_diags p
         | Error _ -> []
       else
         match Flogic.Fl_program.compile p with
         | Ok dp ->
-          Strat_lint.lint ?fallback_ok ~loc:dl_loc dp
+          Strat_lint.lint ~loc:dl_loc dp
           @ type_diags dp @ cost_diags dp @ contain_diags dp
         | Error e ->
           [

@@ -24,7 +24,6 @@ val open_predicate :
 val lint_datalog :
   ?signature:Flogic.Signature.t ->
   ?known_predicates:string list ->
-  ?fallback_ok:bool ->
   ?cones:Absint.cones ->
   ?edb:Datalog.Database.t ->
   ?budget:int ->
@@ -38,15 +37,14 @@ val lint_datalog :
     (cardinality/cost hazards, {!Cost_lint}, capped by [seed] and the
     row [budget]), 9 (semantic containment, {!Contain_lint}, modulo the
     optional domain map [dm]) and 10 (skolem-safety, {!Term_lint}) on a
-    compiled Datalog program. [fallback_ok] (default [true]) downgrades
-    a negative cycle to a warning, matching the engine's well-founded
-    fallback. The result is {!Diagnostic.normalize}d. *)
+    compiled Datalog program. A negative cycle is a warning: the engine
+    evaluates such a program under the well-founded semantics. The
+    result is {!Diagnostic.normalize}d. *)
 
 val lint_program :
   ?known_class:(string -> bool) ->
   ?known_method:(string -> bool) ->
   ?known_predicates:string list ->
-  ?fallback_ok:bool ->
   ?positions:(int * int) list ->
   ?cones:Absint.cones ->
   ?sources:string list ->

@@ -76,7 +76,7 @@ let pp_cycle ppf cycle =
 let default_loc i r =
   D.Rule { index = i; text = Rule.to_string r; pos = None }
 
-let lint ?(fallback_ok = true) ?(loc = default_loc) p =
+let lint ?(loc = default_loc) p =
   match negative_cycle p with
   | None -> []
   | Some cycle ->
@@ -92,9 +92,7 @@ let lint ?(fallback_ok = true) ?(loc = default_loc) p =
         cycle
     in
     let head =
-      D.make
-        ~severity:(if fallback_ok then D.Warning else D.Error)
-        ~pass ~code:"negative-cycle"
+      D.make ~severity:D.Warning ~pass ~code:"negative-cycle"
         ~location:
           (D.Edge
              {
@@ -106,13 +104,9 @@ let lint ?(fallback_ok = true) ?(loc = default_loc) p =
            "predicates depend on themselves through negation/aggregation: %a"
            pp_cycle cycle)
         ~hint:
-          (if fallback_ok then
-             "the engine falls back to the well-founded semantics; \
-              incremental maintenance and the result cache are disabled \
-              for this program"
-           else
-             "break the cycle (move the negated predicate to a lower \
-              stratum) or allow the well-founded fallback")
+          "the engine falls back to the well-founded semantics; \
+           incremental maintenance and the result cache are disabled for \
+           this program"
     in
     let rule_diags =
       List.concat

@@ -1,6 +1,6 @@
 (** Pass 2 — stratification analysis.
 
-    Where {!Datalog.Engine.Unstratified} carries a bare predicate list,
+    Where {!Datalog.Stratify.Unstratified} carries a bare predicate list,
     this pass extracts an {e actual} offending cycle through the
     dependency graph — the path a reader can follow to see why the
     program destratifies — and flags the rules that sit on it.
@@ -8,10 +8,9 @@
     Codes:
     - {b negative-cycle}: a dependency cycle through at least one
       negated or aggregated edge, rendered as
-      [p -¬-> q -> r -> p]. Severity is [Warning] when
-      [fallback_ok] (the engine will fall back to the well-founded
-      semantics, as the paper's Sec. 3 (SEM) permits), [Error]
-      otherwise.
+      [p -¬-> q -> r -> p]. Severity is [Warning]: the engine falls
+      back to the well-founded semantics, as the paper's Sec. 3 (SEM)
+      permits.
     - {b unmaintainable-rule} (warning): a rule on such a cycle —
       programs containing it cannot be incrementally maintained
       ({!Datalog.Maintain.init} refuses unstratified programs), so
@@ -26,11 +25,8 @@ val pp_cycle : Format.formatter -> Datalog.Stratify.edge list -> unit
 (** [p -¬-> q -> p]. *)
 
 val lint :
-  ?fallback_ok:bool ->
   ?loc:(int -> Logic.Rule.t -> Diagnostic.location) ->
   Datalog.Program.t ->
   Diagnostic.t list
-(** [fallback_ok] defaults to [true], matching
-    {!Datalog.Engine.default_config.allow_wellfounded_fallback}.
-    [loc] maps a rule index and rule to its diagnostic location
+(** [loc] maps a rule index and rule to its diagnostic location
     (default: no source position). *)

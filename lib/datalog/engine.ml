@@ -3,11 +3,6 @@ module Subst = Logic.Subst
 
 type strategy = Naive | Seminaive
 
-type cost_oracle = {
-  order : Logic.Rule.t -> focus:int option -> int list option;
-  estimate : string -> int option;
-}
-
 type durability = Store.durability = { fs : Codec.fs; wal_max_bytes : int }
 
 let checkpoint_file = Store.checkpoint_file
@@ -17,11 +12,8 @@ type config = {
   strategy : strategy;
   max_term_depth : int;
   max_rounds : int;
-  allow_wellfounded_fallback : bool;
   compiled_plans : bool;
   prune : (Logic.Rule.t list -> Database.t -> Logic.Rule.t list) option;
-  minimize : (Logic.Rule.t list -> Logic.Rule.t list) option;
-  cost_oracle : cost_oracle option;
   durability : durability option;
 }
 
@@ -30,15 +22,11 @@ let default_config =
     strategy = Seminaive;
     max_term_depth = 8;
     max_rounds = 100_000;
-    allow_wellfounded_fallback = true;
     compiled_plans = true;
     prune = None;
-    minimize = None;
-    cost_oracle = None;
     durability = None;
   }
 
-exception Unstratified of string list
 exception Undefined_atoms of int
 
 type report = {
@@ -54,9 +42,6 @@ type report = {
   strata_skipped : int;
   delta_facts : int;
   rules_pruned : int;
-  atoms_minimized : int;
-  cost_oracle_used : int;
-  est_vs_actual : float;
   checkpoint_ms : float;
   recovery_ms : float;
   wal_bytes : int;
@@ -76,32 +61,10 @@ let empty_report =
     strata_skipped = 0;
     delta_facts = 0;
     rules_pruned = 0;
-    atoms_minimized = 0;
-    cost_oracle_used = 0;
-    est_vs_actual = 0.0;
     checkpoint_ms = 0.0;
     recovery_ms = 0.0;
     wal_bytes = 0;
   }
-
-(* Geometric mean of estimate/actual over the predicates the oracle can
-   bound — the honest summary of how tight the static analysis is
-   (1.0 = exact, 10.0 = an order of magnitude over). 0.0 = no oracle
-   or nothing finite to compare. *)
-let est_vs_actual_of (o : cost_oracle) db =
-  let logs, n =
-    List.fold_left
-      (fun (acc, n) p ->
-        match o.estimate p with
-        | Some est ->
-          let actual = Database.count db p in
-          ( acc
-            +. log (float_of_int (max 1 est) /. float_of_int (max 1 actual)),
-            n + 1 )
-        | None -> (acc, n))
-      (0.0, 0) (Database.predicates db)
-  in
-  if n = 0 then 0.0 else exp (logs /. float_of_int n)
 
 let run_stratum config stats rules db =
   match config.strategy with
@@ -139,21 +102,8 @@ let materialize ?(config = default_config) ?report p edb =
       let kept = f rules db in
       (Program.make_exn kept, List.length rules - List.length kept)
   in
-  (* semantic minimization: the hook (Analysis.Contain.minimize — same
-     wiring inversion as [prune]) may drop body atoms that are implied
-     by the rest of their rule's body, but must preserve the model. *)
-  let p, minimized =
-    match config.minimize with
-    | None -> (p, 0)
-    | Some f ->
-      let rules = Program.rules p in
-      let before = List.fold_left (fun n r -> n + List.length r.Logic.Rule.body) 0 rules in
-      let kept = f rules in
-      let after = List.fold_left (fun n r -> n + List.length r.Logic.Rule.body) 0 kept in
-      (Program.make_exn kept, max 0 (before - after))
-  in
   let fill_report ~checkpoint_ms ~wal_bytes ~stratified ~strata
-      ~rounds ~derived ~skolems ~result =
+      ~rounds ~derived ~skolems =
     match report with
     | None -> ()
     | Some r ->
@@ -171,87 +121,71 @@ let materialize ?(config = default_config) ?report p edb =
           strata_skipped = 0;
           delta_facts = 0;
           rules_pruned = pruned;
-          atoms_minimized = minimized;
-          cost_oracle_used = stats.Eval.cost_oracle_used;
-          est_vs_actual =
-            (match config.cost_oracle with
-            | None -> 0.0
-            | Some o -> est_vs_actual_of o result);
           checkpoint_ms;
           recovery_ms = 0.0;
           wal_bytes;
         }
   in
-  let eval () =
-    match Stratify.rules_by_stratum p with
-    | Ok strata ->
-      let rounds = ref 0 and derived = ref 0 and skolems = ref 0 in
-      List.iter
-        (fun rules ->
-          if rules <> [] then begin
-            let r, d, s = run_stratum config stats rules db in
-            rounds := !rounds + r;
-            derived := !derived + d;
-            skolems := !skolems + s
-          end)
-        strata;
-      let checkpoint_ms, wal_bytes =
-        match (durable, base) with
-        | Some d, Some base ->
-          let t0 = Unix.gettimeofday () in
-          ignore
-            (Store.checkpoint d ~db ~edb:base
-               ~counters:
-                 [
-                   ("strata", float_of_int (List.length strata));
-                   ("rounds", float_of_int !rounds);
-                   ("derived", float_of_int !derived);
-                   ("skolems_suppressed", float_of_int !skolems);
-                 ]
-               ());
-          ( (Unix.gettimeofday () -. t0) *. 1000.0,
-            d.fs.Codec.size Store.wal_file )
-        | _ -> (0.0, 0)
-      in
-      fill_report ~checkpoint_ms ~wal_bytes ~stratified:true
-        ~strata:(List.length strata)
-        ~rounds:!rounds ~derived:!derived ~skolems:!skolems ~result:db;
-      db
-    | Error cycle ->
-      if not config.allow_wellfounded_fallback then raise (Unstratified cycle);
-      let model =
-        Wellfounded.compute ~stats ~compiled:config.compiled_plans
-          ~max_term_depth:config.max_term_depth ~max_rounds:config.max_rounds
-          p db
-      in
-      let undef = Database.cardinal model.Wellfounded.undefined in
-      if undef > 0 then raise (Undefined_atoms undef);
-      fill_report ~checkpoint_ms:0.0 ~wal_bytes:0 ~stratified:false ~strata:1
-        ~rounds:model.Wellfounded.alternations
-        ~derived:(Database.cardinal model.Wellfounded.true_facts
-                  - Database.cardinal db)
-        ~skolems:model.Wellfounded.skolems_suppressed
-        ~result:model.Wellfounded.true_facts;
-      (* hand back a settled model: every index the alternating
-         fixpoint built has replayed its insertion log, so the first
-         query over a rebuild does not pay that backlog. The stratified
-         branch is left lazy: there the replay mostly feeds indexes
-         built for one round and never probed again. *)
-      Database.settle model.Wellfounded.true_facts;
-      (* The replay's index cells and the model's last rows are young
-         and all survive: promote them here, or the next minor
-         collection does it inside whichever query happens to fill the
-         minor heap first, and that query's latency then depends on
-         where the rebuild left the heap. *)
-      Gc.minor ();
-      model.Wellfounded.true_facts
-  in
-  (* the oracle is consulted by [Plan.lookup], which the strategies call
-     deep inside their drivers (semi-naive resolves every plan up
-     front) — so install it around the whole evaluation *)
-  match config.cost_oracle with
-  | None -> eval ()
-  | Some o -> Plan.with_oracle o.order eval
+  match Stratify.rules_by_stratum p with
+  | Ok strata ->
+    let rounds = ref 0 and derived = ref 0 and skolems = ref 0 in
+    List.iter
+      (fun rules ->
+        if rules <> [] then begin
+          let r, d, s = run_stratum config stats rules db in
+          rounds := !rounds + r;
+          derived := !derived + d;
+          skolems := !skolems + s
+        end)
+      strata;
+    let checkpoint_ms, wal_bytes =
+      match (durable, base) with
+      | Some d, Some base ->
+        let t0 = Unix.gettimeofday () in
+        ignore
+          (Store.checkpoint d ~db ~edb:base
+             ~counters:
+               [
+                 ("strata", float_of_int (List.length strata));
+                 ("rounds", float_of_int !rounds);
+                 ("derived", float_of_int !derived);
+                 ("skolems_suppressed", float_of_int !skolems);
+               ]
+             ());
+        ( (Unix.gettimeofday () -. t0) *. 1000.0,
+          d.fs.Codec.size Store.wal_file )
+      | _ -> (0.0, 0)
+    in
+    fill_report ~checkpoint_ms ~wal_bytes ~stratified:true
+      ~strata:(List.length strata)
+      ~rounds:!rounds ~derived:!derived ~skolems:!skolems;
+    db
+  | Error _ ->
+    let model =
+      Wellfounded.compute ~stats ~compiled:config.compiled_plans
+        ~max_term_depth:config.max_term_depth ~max_rounds:config.max_rounds
+        p db
+    in
+    let undef = Database.cardinal model.Wellfounded.undefined in
+    if undef > 0 then raise (Undefined_atoms undef);
+    fill_report ~checkpoint_ms:0.0 ~wal_bytes:0 ~stratified:false ~strata:1
+      ~rounds:model.Wellfounded.alternations
+      ~derived:(Database.cardinal model.Wellfounded.true_facts
+                - Database.cardinal db)
+      ~skolems:model.Wellfounded.skolems_suppressed;
+    (* hand back a settled model: every index the alternating
+       fixpoint built has replayed its insertion log, so the first
+       query over a rebuild does not pay that backlog. The stratified
+       branch is left lazy: there the replay mostly feeds indexes
+       built for one round and never probed again. *)
+    Database.settle model.Wellfounded.true_facts;
+    (* The replay's index cells and the model's last rows are young
+       and all survive: promote them here, or the next minor
+       collection does it inside whichever query happens to fill the
+       minor heap first, and that query's latency then depends on
+       where the rebuild left the heap. *)
+    Gc.minor ();
+    model.Wellfounded.true_facts
 
 let maintain ?(config = default_config) ?report p db delta =
   match
@@ -268,7 +202,7 @@ let maintain ?(config = default_config) ?report p db delta =
       | Some r ->
         r :=
           {
-            stratified = true;
+            empty_report with
             strata = rep.Maintain.strata;
             rounds = rep.Maintain.rounds;
             derived = rep.Maintain.added;
@@ -279,12 +213,7 @@ let maintain ?(config = default_config) ?report p db delta =
             plan_cache_hits = rep.Maintain.plan_cache_hits;
             strata_skipped = rep.Maintain.skipped;
             delta_facts = rep.Maintain.added + rep.Maintain.removed;
-            rules_pruned = 0;
-            atoms_minimized = 0;
-            cost_oracle_used = 0;
-            est_vs_actual = 0.0;
             checkpoint_ms;
-            recovery_ms = 0.0;
             wal_bytes;
           });
       Ok rep)

@@ -3,23 +3,12 @@
     querying of materialized databases.
 
     This is the single deductive engine the mediator architecture calls
-    for ("the mediator needs only a single GCM engine", Section 2). *)
+    for ("the mediator needs only a single GCM engine", Section 2). It
+    evaluates exactly the program it is handed (less any rules the
+    [prune] hook proves dead), with every plan in the greedy literal
+    order of {!Plan}. *)
 
 type strategy = Naive | Seminaive
-
-type cost_oracle = {
-  order : Logic.Rule.t -> focus:int option -> int list option;
-      (** analysis-derived literal order for a (rule, focus) — [None]
-          declines, leaving the syntactic greedy score in charge.
-          Invalid orders (not a stepwise-evaluable permutation) are
-          rejected by {!Plan.order_ok} and fall back to greedy. *)
-  estimate : string -> int option;
-      (** static cardinality upper bound per predicate ([None] =
-          unbounded/unknown); compared against actual extents in
-          [report.est_vs_actual] *)
-}
-(** A static cost analysis feeding the planner — build one with
-    [Analysis.Card.oracle]. *)
 
 type durability = Store.durability = {
   fs : Codec.fs;
@@ -43,9 +32,6 @@ type config = {
           placeholder objects [f_{C,r,D}(x)]; the bound keeps chained
           assertions terminating) *)
   max_rounds : int;
-  allow_wellfounded_fallback : bool;
-      (** when [false], {!materialize} raises {!Unstratified} instead of
-          switching to the alternating fixpoint *)
   compiled_plans : bool;
       (** evaluate rule bodies through cached compiled plans
           ({!Plan}; the default) instead of the interpreted
@@ -61,20 +47,6 @@ type config = {
           ({!Analysis.Absint.prune} is such a hook; the engine cannot
           depend on the analysis library, so the wiring is inverted).
           Pruned-rule counts land in [report.rules_pruned]. *)
-  minimize : (Logic.Rule.t list -> Logic.Rule.t list) option;
-      (** semantic rule minimization hook, run by {!materialize} after
-          [prune] and before evaluation. The hook may rewrite each rule
-          to an equivalent one with fewer body atoms — dropping joins
-          that containment analysis proves implied by the rest of the
-          body ([Analysis.Contain.minimize] is such a hook; same wiring
-          inversion as [prune]). It must preserve the model exactly.
-          Dropped-atom counts land in [report.atoms_minimized]. *)
-  cost_oracle : cost_oracle option;
-      (** when set, {!materialize} installs the oracle around the whole
-          evaluation ({!Plan.with_oracle}) so compiled plans use
-          analysis-derived literal orders, and the report gains
-          [cost_oracle_used] / [est_vs_actual]. Same wiring inversion
-          as [prune]: the analysis library builds the closures. *)
   durability : durability option;
       (** when set, {!materialize} writes a checkpoint of the stratified
           result ({!Store.checkpoint}), {!maintain} commits each batch
@@ -89,7 +61,6 @@ type config = {
 
 val default_config : config
 
-exception Unstratified of string list
 exception Undefined_atoms of int
 (** Raised by {!materialize} when the well-founded fallback leaves atoms
     undefined: a materialized database cannot represent three-valued
@@ -117,19 +88,6 @@ type report = {
   rules_pruned : int;
       (** rules dropped by the [config.prune] hook before evaluation
           (0 when no hook is set and on the maintenance path) *)
-  atoms_minimized : int;
-      (** body atoms dropped by the [config.minimize] hook before
-          evaluation (0 when no hook is set and on the maintenance
-          path) *)
-  cost_oracle_used : int;
-      (** plan lookups resolved with a validated oracle-supplied
-          literal order (0 without [config.cost_oracle] and on the
-          maintenance path) *)
-  est_vs_actual : float;
-      (** geometric mean of (static cardinality estimate / actual
-          extent) over the predicates the oracle bounds: 1.0 = exact,
-          10.0 = an order of magnitude over-estimated; 0.0 = no oracle
-          installed or nothing finite to compare *)
   checkpoint_ms : float;
       (** wall time spent writing a checkpoint this call (0.0 when
           durability is off or nothing was checkpointed) *)

@@ -10,7 +10,6 @@ type stats = {
   mutable tuples_scanned : int;
   mutable index_hits : int;
   mutable plan_cache_hits : int;
-  mutable cost_oracle_used : int;
   mutable order_time : float;
 }
 
@@ -20,7 +19,6 @@ let new_stats () =
     tuples_scanned = 0;
     index_hits = 0;
     plan_cache_hits = 0;
-    cost_oracle_used = 0;
     order_time = 0.0;
   }
 

@@ -17,10 +17,6 @@ type stats = {
   mutable plan_cache_hits : int;
       (** compiled-plan lookups answered from the plan cache (see
           {!Plan}; 0 on the interpreted path) *)
-  mutable cost_oracle_used : int;
-      (** plan compilations whose literal order came from an installed
-          cost oracle ({!Plan.with_oracle}) rather than the syntactic
-          greedy score *)
   mutable order_time : float;
       (** wall-clock seconds spent ordering literals / compiling plans
           — on the compiled path this is paid once per (rule, focus),

@@ -106,17 +106,8 @@ let warm_indexes db rules =
     rules
 
 let init ?(max_term_depth = 8) ?(max_rounds = 100_000) ?(compiled = true) ?prune
-    ?minimize p edb0 =
+    p edb0 =
   let facts, p' = Program.split_facts p in
-  (* Semantic minimization rewrites rules to equivalent ones with fewer
-     body atoms; unlike [prune] it is valid for every database, so the
-     minimized rules replace the originals for the whole lifetime of
-     the handle (deltas included). *)
-  let p' =
-    match minimize with
-    | None -> p'
-    | Some f -> Program.make_exn (f (Program.rules p'))
-  in
   match Stratify.rules_by_stratum p' with
   | Error cycle -> Error ("Maintain.init: " ^ unstratified_msg cycle)
   | Ok strata ->

@@ -74,7 +74,6 @@ val init :
   ?max_rounds:int ->
   ?compiled:bool ->
   ?prune:(Logic.Rule.t list -> Database.t -> Logic.Rule.t list) ->
-  ?minimize:(Logic.Rule.t list -> Logic.Rule.t list) ->
   Program.t ->
   Database.t ->
   (t, string) result
@@ -88,14 +87,7 @@ val init :
     the full rule set, because a delta may revive a pruned rule — and
     then every new instantiation involves a delta fact, which the
     focus joins of {!apply} cover (over a positive or a negated
-    literal), so maintained results still equal a full rebuild.
-
-    [minimize] is the semantic-minimization hook of
-    {!Engine.config.minimize}. Unlike [prune], its rewrites must be
-    equivalence-preserving for {e every} database (containment modulo
-    invariants deltas cannot break, e.g. the domain map), so the
-    minimized rules replace the originals in the handle and deltas
-    maintain the smaller bodies too. *)
+    literal), so maintained results still equal a full rebuild. *)
 
 val of_materialized :
   ?max_term_depth:int ->

@@ -79,9 +79,9 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Compilation *)
 
-(* Shared with the greedy step and with [order_ok]: a literal can run
-   once its needed variables are bound; an equality can run once either
-   side is fully bound (it unifies into the other). *)
+(* The greedy step's evaluability test: a literal can run once its
+   needed variables are bound; an equality can run once either side is
+   fully bound (it unifies into the other). *)
 let lit_evaluable bound lit =
   match lit with
   | Literal.Cmp (Literal.Eq, t1, t2) ->
@@ -89,7 +89,7 @@ let lit_evaluable bound lit =
     || List.for_all (fun x -> SS.mem x bound) (Term.vars t2)
   | l -> List.for_all (fun x -> SS.mem x bound) (Literal.needs l)
 
-let compile ?order (r : Rule.t) ~focus =
+let compile (r : Rule.t) ~focus =
   let slots = Hashtbl.create 8 in
   let nslots = ref 0 in
   let slot_of x =
@@ -174,7 +174,6 @@ let compile ?order (r : Rule.t) ~focus =
   let used = Array.make n false in
   let focus_idx = match focus with Some i -> i | None -> -1 in
   let ops = ref [] in
-  let forced = ref order in
   let rec step bound remaining =
     if remaining = 0 then bound
     else begin
@@ -191,20 +190,10 @@ let compile ?order (r : Rule.t) ~focus =
         | Literal.Agg _ -> 10
       in
       let best = ref (-1) in
-      (match !forced with
-      | Some (i :: rest) ->
-        (* an oracle-supplied order; [lookup] only passes validated
-           orders, but direct [compile ?order] callers get checked *)
-        forced := Some rest;
-        if i < 0 || i >= n || not (evaluable i) then
-          invalid_arg "Plan.compile: supplied order is not evaluable";
-        best := i
-      | Some [] -> invalid_arg "Plan.compile: supplied order too short"
-      | None ->
-        for i = 0 to n - 1 do
-          if evaluable i && (!best = -1 || score i > score !best) then
-            best := i
-        done);
+      for i = 0 to n - 1 do
+        if evaluable i && (!best = -1 || score i > score !best) then
+          best := i
+      done;
       if !best = -1 then
         invalid_arg "Plan.compile: body is not range-restricted"
       else begin
@@ -293,52 +282,12 @@ let compile ?order (r : Rule.t) ~focus =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The cost oracle *)
-
-type oracle = Rule.t -> focus:int option -> int list option
-
-(* Module-level installation point: evaluation strategies resolve plans
-   through [lookup] deep inside their drivers, so the engine installs
-   the oracle around a whole materialization rather than threading it
-   through every signature. Single-threaded by construction. *)
-let oracle_ref : oracle option ref = ref None
-
-let with_oracle o f =
-  let prev = !oracle_ref in
-  oracle_ref := Some o;
-  Fun.protect ~finally:(fun () -> oracle_ref := prev) f
-
-(* A supplied order is only usable when it is a permutation of the body
-   that stays evaluable step by step — otherwise fall back to greedy
-   rather than compile a plan that would raise. *)
-let order_ok (r : Rule.t) o =
-  let lits = Array.of_list r.Rule.body in
-  let n = Array.length lits in
-  List.length o = n
-  && List.sort_uniq compare o = List.init n Fun.id
-  &&
-  let bound = ref SS.empty in
-  List.for_all
-    (fun i ->
-      lit_evaluable !bound lits.(i)
-      && begin
-           bound :=
-             List.fold_left
-               (fun acc x -> SS.add x acc)
-               !bound
-               (Literal.binds lits.(i));
-           true
-         end)
-    o
-
-(* ------------------------------------------------------------------ *)
 (* Plan cache *)
 
 module Key = struct
-  type t = Rule.t * int option * int list option
+  type t = Rule.t * int option
 
-  let equal (r1, f1, o1) (r2, f2, o2) =
-    f1 = f2 && o1 = o2 && Rule.equal r1 r2
+  let equal (r1, f1) (r2, f2) = f1 = f2 && Rule.equal r1 r2
 
   let hash k = Hashtbl.hash_param 60 120 k
 end
@@ -351,26 +300,16 @@ let cache_size () = C.length cache
 let clear_cache () = C.reset cache
 
 let lookup ?(stats = Eval.no_stats) (r : Rule.t) ~focus =
-  let order =
-    match !oracle_ref with
-    | None -> None
-    | Some f -> (
-      match f r ~focus with
-      | Some o when order_ok r o -> Some o
-      | Some _ | None -> None)
-  in
-  if order <> None then
-    stats.Eval.cost_oracle_used <- stats.Eval.cost_oracle_used + 1;
-  match C.find_opt cache (r, focus, order) with
+  match C.find_opt cache (r, focus) with
   | Some plan ->
     stats.Eval.plan_cache_hits <- stats.Eval.plan_cache_hits + 1;
     plan
   | None ->
     let t0 = Unix.gettimeofday () in
-    let plan = compile ?order r ~focus in
+    let plan = compile r ~focus in
     stats.Eval.order_time <-
       stats.Eval.order_time +. (Unix.gettimeofday () -. t0);
-    C.replace cache (r, focus, order) plan;
+    C.replace cache (r, focus) plan;
     plan
 
 (* ------------------------------------------------------------------ *)

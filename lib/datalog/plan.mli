@@ -12,50 +12,22 @@
     {!Relation}; comparisons, negations, assignments and aggregates
     become residual filter/bind steps.
 
-    Plans are cached globally, keyed by (rule, focus, oracle order).
-    The interpreted path in {!Eval} is kept as the differential-testing
-    oracle (see [test/test_differential.ml]).
-
-    A {e cost oracle} ({!with_oracle}) may propose analysis-derived
-    literal orders: {!lookup} consults the installed oracle, validates
-    the proposed order ({!order_ok}), and compiles with it — falling
-    back to the greedy score whenever the oracle declines or proposes
-    an unusable order. See [Analysis.Card.oracle]. *)
+    Plans are cached globally, keyed by (rule, focus). Every plan uses
+    the greedy order; the cache is the module's only mutable state. The
+    interpreted path in {!Eval} is kept as the differential-testing
+    oracle (see [test/test_differential.ml]). *)
 
 type t
 (** A compiled plan for one rule and one optional focus position. *)
 
-val compile : ?order:int list -> Logic.Rule.t -> focus:int option -> t
-(** Compile without consulting the cache. [order], when given, fixes
-    the literal order (indices into the body) instead of the greedy
-    score. Raises [Invalid_argument] if the body is not
-    range-restricted (same condition as {!Eval.solve_body}, detected at
-    compile time) or if [order] is not a stepwise-evaluable permutation
-    of the body. *)
+val compile : Logic.Rule.t -> focus:int option -> t
+(** Compile without consulting the cache. Raises [Invalid_argument] if
+    the body is not range-restricted (same condition as
+    {!Eval.solve_body}, detected at compile time). *)
 
 val lookup : ?stats:Eval.stats -> Logic.Rule.t -> focus:int option -> t
 (** Cached compile. Increments [stats.plan_cache_hits] on a hit and
-    adds compile time to [stats.order_time] on a miss. When a cost
-    oracle is installed ({!with_oracle}) and proposes a valid order,
-    the plan uses that order and [stats.cost_oracle_used] is
-    incremented. *)
-
-type oracle = Logic.Rule.t -> focus:int option -> int list option
-(** Analysis-supplied literal ordering: [Some order] to override the
-    greedy score for this (rule, focus), [None] to decline. *)
-
-val with_oracle : oracle -> (unit -> 'a) -> 'a
-(** Run a computation with a cost oracle installed; every {!lookup}
-    inside consults it. Restores the previous oracle on exit (also on
-    exceptions). Installation is process-global — evaluation strategies
-    resolve plans deep inside their drivers, so {!Engine.materialize}
-    wraps whole evaluations rather than threading the oracle through
-    every signature. *)
-
-val order_ok : Logic.Rule.t -> int list -> bool
-(** Whether an order is a permutation of the rule body that stays
-    evaluable step by step — the validity condition {!lookup} applies
-    to oracle proposals before trusting them. *)
+    adds compile time to [stats.order_time] on a miss. *)
 
 val run :
   ?stats:Eval.stats ->

@@ -89,10 +89,7 @@ let materialize_distributions ?spec med ~organism ~ion ~root =
   | Ok () ->
     if !count = 0 then
       Error (Printf.sprintf "no %s-binding protein has data under %s" ion root)
-    else begin
-      Mediator.add_ivd med !facts;
-      Ok !count
-    end
+    else Result.map (fun () -> !count) (Mediator.add_ivd med !facts)
 
 let answer_query ?spec med ~organism ~transmitting_compartment ~ion =
   match

@@ -15,7 +15,6 @@ type config = {
   inheritance : bool;
   lint : lint_policy;
   prune_dead : bool;
-  minimize : bool;
   runtime : Runtime.policy;
   cost_budget : int option;
   durability : Datalog.Store.durability option;
@@ -30,7 +29,6 @@ let default_config =
     inheritance = false;
     lint = Lint_warn;
     prune_dead = false;
-    minimize = false;
     runtime = Runtime.default_policy;
     cost_budget = None;
     durability = None;
@@ -531,45 +529,44 @@ let ivd_contain_diags t rules =
 
 let add_ivd t rules =
   let module D = Analysis.Diagnostic in
-  t.warnings <-
-    t.warnings
-    @ List.map
-        (Format.asprintf "%a" D.pp)
-        (List.filter
-           (fun (d : D.t) -> d.D.severity <> D.Info)
-           (ivd_diags t rules @ ivd_cost_diags t rules
-           @ ivd_contain_diags t rules));
-  t.ivds <- t.ivds @ rules;
-  absorb_rules t rules
+  (* A view that does not compile to safe Datalog would make every
+     later materialization raise: refuse it before anything changes. *)
+  match
+    try Datalog.Program.make (Flogic.Compile.rules t.sg rules)
+    with Flogic.Compile.Compile_error e -> Error e
+  with
+  | Error e -> Error ("view rejected: " ^ e)
+  | Ok _ ->
+    let diags =
+      ivd_diags t rules @ ivd_cost_diags t rules @ ivd_contain_diags t rules
+    in
+    let errors = if t.cfg.lint = Lint_reject then D.errors diags else [] in
+    if errors <> [] then
+      Error
+        (Printf.sprintf "view rejected by lint:\n%s"
+           (String.concat "\n" (List.map (Format.asprintf "%a" D.pp) errors)))
+    else begin
+      t.warnings <-
+        t.warnings
+        @ List.map
+            (Format.asprintf "%a" D.pp)
+            (List.filter (fun (d : D.t) -> d.D.severity <> D.Info) diags);
+      t.ivds <- t.ivds @ rules;
+      absorb_rules t rules;
+      Ok ()
+    end
 
+(* The view's rules are checked against the signature they were parsed
+   with, which the mediator keeps only if the view is installed. *)
 let add_ivd_text t src =
   match Flogic.Fl_parser.parse_program ~signature:t.sg src with
   | Error e -> Error e
-  | Ok { Flogic.Fl_parser.rules; signature; _ } -> (
-    let module D = Analysis.Diagnostic in
-    (* A view that does not compile to safe Datalog would make every
-       later materialization raise: refuse it before anything changes. *)
-    match
-      try Datalog.Program.make (Flogic.Compile.rules signature rules)
-      with Flogic.Compile.Compile_error e -> Error e
-    with
-    | Error e -> Error ("view rejected: " ^ e)
-    | Ok _ ->
-      let errors =
-        if t.cfg.lint = Lint_reject then
-          D.errors (ivd_diags t rules @ ivd_cost_diags t rules)
-        else []
-      in
-      if errors <> [] then
-        Error
-          (Printf.sprintf "view rejected by lint:\n%s"
-             (String.concat "\n"
-                (List.map (Format.asprintf "%a" D.pp) errors)))
-      else begin
-        t.sg <- signature;
-        add_ivd t rules;
-        Ok ()
-      end)
+  | Ok { Flogic.Fl_parser.rules; signature; _ } ->
+    let sg0 = t.sg in
+    t.sg <- signature;
+    let r = add_ivd t rules in
+    if Result.is_error r then t.sg <- sg0;
+    r
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation: pull each source's data through its fault
@@ -636,17 +633,6 @@ let prune_hook t rules db =
     ~assume_nonempty:(Analysis.Kindlint.open_predicate ~signature:t.sg rules)
     rules db
 
-(* Semantic minimization hook for the engine (pass 9 acting): the
-   containment context is built from the domain map ONLY — program
-   [sub] facts may come from sources, and a deletion could retract
-   them, whereas the domain map is a mediator-level invariant no base
-   delta can break. That makes the minimized rules equivalent over
-   every database the handle can evolve into, which is what
-   [Maintain.init ?minimize] requires. *)
-let minimize_hook t =
-  let ctx = Analysis.Contain.make_ctx ~dm:t.dmap () in
-  Analysis.Contain.minimize ctx
-
 let materialize t =
   match t.cache with
   | Some db -> db
@@ -655,13 +641,12 @@ let materialize t =
     t.last_completeness <- Some completeness;
     let p = build_program_with t ~data in
     let prune = if t.cfg.prune_dead then Some (prune_hook t) else None in
-    let minimize = if t.cfg.minimize then Some (minimize_hook t) else None in
     let db =
       match Flogic.Fl_program.compile p with
       | Error e -> invalid_arg e
       | Ok dp -> (
         match
-          Datalog.Maintain.init ?prune ?minimize dp
+          Datalog.Maintain.init ?prune dp
             (Datalog.Database.create ())
         with
         | Ok h ->
@@ -674,7 +659,7 @@ let materialize t =
              incremental handle *)
           t.maint <- None;
           Datalog.Engine.materialize
-            ~config:{ Datalog.Engine.default_config with prune; minimize }
+            ~config:{ Datalog.Engine.default_config with prune }
             dp
             (Datalog.Database.create ()))
     in

@@ -32,14 +32,6 @@ type config = {
           proves can derive nothing before materializing — semantics
           preserving; counts surface in {!Datalog.Engine.report} /
           {!Datalog.Maintain.report} (default [false]) *)
-  minimize : bool;
-      (** semantically minimize rule bodies before materializing:
-          containment analysis modulo the domain map
-          ({!Analysis.Contain.minimize}) drops body atoms implied by
-          the rest of their rule — equivalence preserving for every
-          database the maintenance handle can evolve into, because the
-          context is built from the domain map only, never from
-          retractable source facts (default [false]) *)
   runtime : Runtime.policy;
       (** per-source retry-with-backoff and circuit-breaker policies
           applied to every query-time fetch (default
@@ -86,7 +78,7 @@ val register_xml :
 val extend_dmap : t -> Dl.Concept.axiom list -> (unit, string) result
 (** Figure 3: a source refines the mediator's domain map. *)
 
-val add_ivd : t -> Flogic.Molecule.rule list -> unit
+val add_ivd : t -> Flogic.Molecule.rule list -> (unit, string) result
 (** Install integrated-view rules (global-as-view). When a
     materialization is live, the new rules are absorbed incrementally
     ({!Datalog.Maintain.extend_rules}) instead of invalidating it.
@@ -94,7 +86,13 @@ val add_ivd : t -> Flogic.Molecule.rule list -> unit
     is checked ({!Analysis.Prov_lint}), a candidate view contained in
     the already-installed views (modulo the domain map,
     {!Analysis.Contain.redundant_view}) gets a [redundant-ivd]
-    warning, and findings accumulate in {!translation_warnings}. *)
+    warning, and findings accumulate in {!translation_warnings}.
+
+    [Error], with views, warnings and any live materialization
+    unchanged, when the rules do not compile to range-restricted
+    Datalog, or when [Lint_reject] meets an error-severity finding
+    (a reference to an unregistered namespace, or an [over-budget]
+    estimate under [cost_budget]). *)
 
 val update_source :
   t ->
@@ -117,10 +115,8 @@ val update_source :
 
 val add_ivd_text : t -> string -> (unit, string) result
 (** IVD in FL surface syntax, parsed with the mediator's accumulated
-    signature. A view whose compiled rules are not range-restricted is
-    refused with the mediator unchanged. Under [Lint_reject],
-    error-severity provenance findings (references to unregistered
-    namespaces) fail the installation too. *)
+    signature, then installed by {!add_ivd}. The signature the text
+    extends is kept only when the view is installed. *)
 
 (** {1 Introspection} *)
 

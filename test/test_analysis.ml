@@ -70,16 +70,16 @@ let test_golden_negative_cycle () =
            e.Datalog.Stratify.nonmono
            && String.equal e.Datalog.Stratify.to_pred "win")
          cycle));
-  let ds = A.Strat_lint.lint ~fallback_ok:false p in
+  let ds = A.Strat_lint.lint p in
   match with_code "negative-cycle" ds with
   | [ d ] ->
-    Alcotest.(check bool) "error when fallback is off" true
-      (d.D.severity = D.Error);
+    Alcotest.(check bool) "warning: the engine falls back" true
+      (d.D.severity = D.Warning);
     Alcotest.(check bool) "message prints the cycle" true
       (contains d.D.message "win" && contains d.D.message "-\xc2\xac->")
   | _ -> Alcotest.fail "expected exactly one negative-cycle diagnostic"
 
-let test_negative_cycle_warning_when_fallback_ok () =
+let test_negative_cycle_warning () =
   let p =
     Program.make_exn
       [
@@ -477,7 +477,7 @@ let suites =
         Alcotest.test_case "golden: negative cycle" `Quick
           test_golden_negative_cycle;
         Alcotest.test_case "negative cycle is a warning with fallback" `Quick
-          test_negative_cycle_warning_when_fallback_ok;
+          test_negative_cycle_warning;
         Alcotest.test_case "golden: dangling anchor concept" `Quick
           test_golden_dangling_anchor;
         Alcotest.test_case "golden: infeasible access" `Quick

@@ -1,11 +1,10 @@
-(* The cardinality/cost abstract interpretation (Analysis.Card), the
-   complexity-hazard pass (Analysis.Cost_lint), and the engine's
-   cost-oracle hook.
+(* The cardinality/cost abstract interpretation (Analysis.Card) and the
+   complexity-hazard pass (Analysis.Cost_lint).
 
    Soundness is also property-tested against the materialized model on
    random programs in Test_differential; here the exact arithmetic,
-   the boundedness check, key inference, the seeded sample goldens and
-   the report counters are pinned. *)
+   the boundedness check, key inference and the seeded sample goldens
+   are pinned. *)
 
 open Logic
 module Card = Analysis.Card
@@ -119,9 +118,7 @@ let seeds_and_caps () =
     (Card.unbounded res "ext" && Card.unbounded res "p");
   let seed p = if String.equal p "ext" then Some (iv 0 (Some 42)) else None in
   let res = Card.analyze ~assume_nonempty:open_pred ~seed rules in
-  check_iv "the cap flows through" (iv 0 (Some 42)) (Card.card res "p");
-  Alcotest.(check (option int)) "estimate is oracle-shaped" (Some 42)
-    (Card.estimate res "p")
+  check_iv "the cap flows through" (iv 0 (Some 42)) (Card.card res "p")
 
 (* ------------------------------------------------------------------ *)
 (* Cost model: cross products are counted, and a selective literal is
@@ -159,57 +156,6 @@ let cost_model () =
   in
   Alcotest.(check int) "2x2 product is flagged" 1 c.Card.cross_products;
   check_iv "product bound multiplies" (iv 0 (Some 4)) c.Card.est
-
-(* ------------------------------------------------------------------ *)
-(* The oracle: answer-identical, reported, and validated              *)
-
-let tc_program n =
-  Program.make_exn
-    (Rule.make (Atom.make "tc" [ v "X"; v "Y" ]) [ Literal.pos "e" [ v "X"; v "Y" ] ]
-    :: Rule.make
-         (Atom.make "tc" [ v "X"; v "Y" ])
-         [ Literal.pos "tc" [ v "X"; v "Z" ]; Literal.pos "e" [ v "Z"; v "Y" ] ]
-    :: List.init n (fun k ->
-           Rule.fact
-             (Atom.make "e"
-                [ s (Printf.sprintf "m%d" k); s (Printf.sprintf "m%d" (k + 1)) ])))
-
-let oracle_counters () =
-  let p = tc_program 16 in
-  let res = Card.analyze (Program.rules p) in
-  let config =
-    { Engine.default_config with Engine.cost_oracle = Some (Card.oracle res) }
-  in
-  let rep = ref Engine.empty_report in
-  let db = Engine.materialize ~config ~report:rep p (Database.create ()) in
-  Alcotest.(check int) "oracle run computes the full closure"
-    (16 * 17 / 2)
-    (List.length (Database.all_facts db) - 16);
-  Alcotest.(check bool) "cost_oracle_used counted" true
-    (!rep.Engine.cost_oracle_used > 0);
-  Alcotest.(check bool) "est_vs_actual filled" true
-    (!rep.Engine.est_vs_actual > 0.0);
-  (* without the oracle both counters stay at their sentinels *)
-  let rep0 = ref Engine.empty_report in
-  ignore (Engine.materialize ~report:rep0 p (Database.create ()));
-  Alcotest.(check int) "no oracle: cost_oracle_used = 0" 0
-    !rep0.Engine.cost_oracle_used;
-  Alcotest.(check (float 0.0)) "no oracle: est_vs_actual = 0" 0.0
-    !rep0.Engine.est_vs_actual
-
-let order_validation () =
-  let r =
-    Rule.make (Atom.make "p" [ v "X" ])
-      [ Literal.pos "e" [ v "X"; v "Y" ]; Literal.neg "q" [ v "X" ] ]
-  in
-  Alcotest.(check bool) "scan-then-filter is evaluable" true
-    (Datalog.Plan.order_ok r [ 0; 1 ]);
-  Alcotest.(check bool) "negation before its bindings is not" false
-    (Datalog.Plan.order_ok r [ 1; 0 ]);
-  Alcotest.(check bool) "wrong length is not" false
-    (Datalog.Plan.order_ok r [ 0 ]);
-  Alcotest.(check bool) "not a permutation is not" false
-    (Datalog.Plan.order_ok r [ 0; 0 ])
 
 (* ------------------------------------------------------------------ *)
 (* Cost_lint: codes, budget escalation, determinism                    *)
@@ -341,9 +287,6 @@ let suites =
         Alcotest.test_case "open predicates and seeded caps" `Quick
           seeds_and_caps;
         Alcotest.test_case "cross products in the cost model" `Quick cost_model;
-        Alcotest.test_case "oracle fills the report counters" `Quick
-          oracle_counters;
-        Alcotest.test_case "forced orders are validated" `Quick order_validation;
         Alcotest.test_case "lint codes and budget escalation" `Quick lint_codes;
         Alcotest.test_case "normalize is deterministic" `Quick
           normalize_deterministic;

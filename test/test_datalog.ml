@@ -388,14 +388,7 @@ let test_engine_unstratified_guard () =
     ]
   in
   let p = Program.make_exn rules in
-  (match
-     Engine.materialize
-       ~config:{ Engine.default_config with Engine.allow_wellfounded_fallback = false }
-       p (Database.create ())
-   with
-  | exception Engine.Unstratified _ -> ()
-  | _ -> Alcotest.fail "expected Unstratified");
-  (* With fallback: p/q over 'a' are undefined -> Undefined_atoms. *)
+  (* p/q over 'a' are undefined in the well-founded model -> Undefined_atoms. *)
   match Engine.materialize p (Database.create ()) with
   | exception Engine.Undefined_atoms 2 -> ()
   | exception Engine.Undefined_atoms n -> Alcotest.failf "expected 2 undefined, got %d" n

@@ -147,7 +147,9 @@ let build_federation st ~faulted =
       | Ok () -> ()
       | Error e -> Alcotest.failf "register %s: %s" (Source.name src) e)
     sources;
-  Mediator.add_ivd med hot_ivd;
+  (match Mediator.add_ivd med hot_ivd with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "add_ivd: %s" e);
   if faulted then
     List.iter
       (fun (name, sc) ->

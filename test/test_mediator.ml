@@ -138,6 +138,78 @@ let test_bad_ivd () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a base with undefined atoms answered"
 
+(* The molecule-level entry point refuses an unsafe view too, and
+   leaves views, signature, warnings and the live materialization as
+   they were. *)
+let test_bad_ivd_molecules () =
+  let med = fresh_mediator () in
+  let q = "?- X : spine." in
+  let count () =
+    match Mediator.query_text med q with
+    | Ok answers -> List.length answers
+    | Error e -> Alcotest.failf "query failed: %s" e
+  in
+  let n0 = count () in
+  let sg0 = Mediator.signature med in
+  let warnings0 = Mediator.translation_warnings med in
+  let rebuilt0 = (Mediator.cache_stats med).Mediator.rebuilt in
+  let parsed =
+    Flogic.Fl_parser.parse_program_exn ~signature:sg0
+      "bad(X) :- not X : spine."
+  in
+  (match Mediator.add_ivd med parsed.Flogic.Fl_parser.rules with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "unsafe view accepted");
+  Alcotest.(check int) "no view installed" 0 (List.length (Mediator.ivds med));
+  Alcotest.(check bool) "signature unchanged" true
+    (Mediator.signature med == sg0);
+  Alcotest.(check (list string)) "warnings unchanged" warnings0
+    (Mediator.translation_warnings med);
+  Alcotest.(check int) "queries still answer" n0 (count ());
+  Alcotest.(check int) "materialization kept" rebuilt0
+    (Mediator.cache_stats med).Mediator.rebuilt
+
+(* [cost_budget] escalates an over-budget view estimate to an error:
+   [Lint_reject] refuses the view, [Lint_warn] installs it with the
+   finding in the warnings, and without a budget there is no finding. *)
+let test_ivd_cost_budget () =
+  let view =
+    "pairs(X, Y) :- X : 'NCMIR.protein', Y : 'SENSELAB.neurotransmission'."
+  in
+  let mentions_budget s =
+    let needle = "over-budget" in
+    let nh = String.length s and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub s i nn = needle || go (i + 1)) in
+    go 0
+  in
+  let with_config lint cost_budget =
+    fresh_mediator
+      ~config:{ Mediator.default_config with Mediator.lint; cost_budget }
+      ()
+  in
+  let med = with_config Mediator.Lint_reject (Some 50) in
+  (match Mediator.add_ivd_text med view with
+  | Error e ->
+    Alcotest.(check bool) "the refusal names over-budget" true
+      (mentions_budget e)
+  | Ok () -> Alcotest.fail "over-budget view accepted under Lint_reject");
+  Alcotest.(check int) "refused view not installed" 0
+    (List.length (Mediator.ivds med));
+  let med = with_config Mediator.Lint_warn (Some 50) in
+  (match Mediator.add_ivd_text med view with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "view refused under Lint_warn: %s" e);
+  Alcotest.(check bool) "view installed under Lint_warn" true
+    (Mediator.ivds med <> []);
+  Alcotest.(check bool) "over-budget warning recorded" true
+    (List.exists mentions_budget (Mediator.translation_warnings med));
+  let med = with_config Mediator.Lint_warn None in
+  (match Mediator.add_ivd_text med view with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "view refused without a budget: %s" e);
+  Alcotest.(check bool) "no budget, no over-budget finding" false
+    (List.exists mentions_budget (Mediator.translation_warnings med))
+
 let test_extend_dmap () =
   let med = fresh_mediator () in
   (match Mediator.extend_dmap med Neuro.Anatom.fig3_registration with
@@ -499,6 +571,9 @@ let suites =
         Alcotest.test_case "text queries" `Quick test_query_text;
         Alcotest.test_case "IVDs" `Quick test_ivd;
         Alcotest.test_case "unsafe or undefined IVDs" `Quick test_bad_ivd;
+        Alcotest.test_case "unsafe molecule-level IVD" `Quick
+          test_bad_ivd_molecules;
+        Alcotest.test_case "IVD cost budget" `Quick test_ivd_cost_budget;
         Alcotest.test_case "extend domain map" `Quick test_extend_dmap;
         Alcotest.test_case "register via XML" `Quick test_register_via_xml;
         Alcotest.test_case "consistency" `Quick test_consistency_check;

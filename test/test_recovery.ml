@@ -575,7 +575,9 @@ let build_med ?wal_max fs =
       mk_source "B" "region" [ ("b1", 5.0) ];
       mk_source "C" "cell" [ ("c1", 4.0) ];
     ];
-  Mediator.add_ivd med hot_ivd;
+  (match Mediator.add_ivd med hot_ivd with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
   med
 
 let hot_goal = [ Molecule.Pos (Molecule.Pred (Atom.make "hot" [ v "X" ])) ]
