@@ -159,19 +159,34 @@ let run_cmd =
         | Error e ->
           prerr_endline e;
           1
-        | Ok _ ->
-          let db = Flogic.Fl_program.run t in
-          Printf.printf "%d facts derived.\n" (Datalog.Database.cardinal db);
-          List.iter
-            (fun lits ->
-              Printf.printf "?- %s\n"
-                (String.concat ", "
-                   (List.map
-                      (fun l -> Format.asprintf "%a" Flogic.Molecule.pp_lit l)
-                      lits));
-              pp_answers lits (Flogic.Fl_program.query t db lits))
-            goals;
-          0)
+        | Ok _ -> (
+          match Flogic.Fl_program.run t with
+          | exception Datalog.Engine.Undefined_atoms n ->
+            Printf.eprintf
+              "the program leaves %d atom%s undefined under the \
+               well-founded semantics\n"
+              n
+              (if n = 1 then "" else "s");
+            1
+          | db ->
+            Printf.printf "%d facts derived.\n" (Datalog.Database.cardinal db);
+            (* an unsafe query is reported and skipped; the others
+               still run *)
+            List.fold_left
+              (fun code lits ->
+                Printf.printf "?- %s\n%!"
+                  (String.concat ", "
+                     (List.map
+                        (fun l -> Format.asprintf "%a" Flogic.Molecule.pp_lit l)
+                        lits));
+                match Flogic.Fl_program.query t db lits with
+                | answers ->
+                  pp_answers lits answers;
+                  code
+                | exception Invalid_argument e ->
+                  prerr_endline e;
+                  1)
+              0 goals))
   in
   Cmd.v (Cmd.info "run" ~doc:"evaluate an F-logic program and answer its queries")
     Term.(const run $ file $ query $ engine)

@@ -1,5 +1,8 @@
 module Atom = Logic.Atom
+module Literal = Logic.Literal
+module Rule = Logic.Rule
 module Subst = Logic.Subst
+module Term = Logic.Term
 
 type strategy = Naive | Seminaive
 
@@ -261,10 +264,45 @@ let recover ?(config = default_config) ?report p =
           });
       Ok (Some r.Store.db))
 
-let query ?stats db lits = Eval.solve_body ?stats ~db ~neg:db lits
+(* A query runs on the compiled kernel as a one-off rule whose head
+   carries every variable the body binds, in first-occurrence order;
+   each head row becomes one substitution. The plan is compiled per
+   call and never enters the plan cache, which is keyed by rule and
+   unbounded: every distinct query constant would add an entry. *)
+let query ?stats db lits =
+  let vars =
+    List.fold_left
+      (fun acc l ->
+        List.fold_left
+          (fun acc x -> if List.mem x acc then acc else x :: acc)
+          acc (Literal.binds l))
+      [] lits
+    |> List.rev
+  in
+  let r = Rule.make (Atom.make "query" (List.map Term.var vars)) lits in
+  (match Rule.check_safety r with
+  | Ok () -> ()
+  | Error e -> invalid_arg e);
+  (* A ground argument the term pool does not know is in no stored
+     row, so its literal matches nothing. Answering here keeps the
+     compiler from interning it: the pool never frees an entry. *)
+  let unknown = function
+    | Literal.Pos a when not (Literal.is_builtin a.Atom.pred) ->
+      List.exists
+        (fun t -> Term.is_ground t && Option.is_none (Term.find_id t))
+        a.Atom.args
+    | _ -> false
+  in
+  if List.exists unknown lits then []
+  else
+    Plan.run ?stats ~db ~neg:db (Plan.compile r ~focus:None)
+    |> List.map (fun (a : Atom.t) ->
+           List.fold_left2
+             (fun s x t -> Subst.bind x t s)
+             Subst.empty vars a.Atom.args)
 
 let answers db (a : Atom.t) =
-  let ss = query db [ Logic.Literal.Pos a ] in
+  let ss = query db [ Literal.Pos a ] in
   List.map (fun s -> List.map (Subst.apply s) a.Atom.args) ss
   |> List.sort_uniq Tuple.compare
 

@@ -6,7 +6,8 @@
     for ("the mediator needs only a single GCM engine", Section 2). It
     evaluates exactly the program it is handed (less any rules the
     [prune] hook proves dead), with every plan in the greedy literal
-    order of {!Plan}. *)
+    order of {!Plan}. Queries ({!query}) run on the same compiled
+    kernel. *)
 
 type strategy = Naive | Seminaive
 
@@ -37,7 +38,8 @@ type config = {
           ({!Plan}; the default) instead of the interpreted
           {!Eval.solve_body} path. Same models, same join order — the
           interpreted path is kept as the differential-testing oracle
-          and is what [strategy = Naive] always uses. *)
+          and is what [strategy = Naive] always uses. {!query} is
+          compiled whatever this says. *)
   prune : (Logic.Rule.t list -> Database.t -> Logic.Rule.t list) option;
       (** dead-rule pruning hook, run by {!materialize} after program
           facts are loaded and before evaluation. The hook receives the
@@ -153,7 +155,21 @@ val recover :
 val query :
   ?stats:Eval.stats -> Database.t -> Logic.Literal.t list -> Logic.Subst.t list
 (** Solve a conjunctive query (with negation-as-absence, comparisons and
-    aggregates) against a materialized database. *)
+    aggregates) against a materialized database: one substitution per
+    answer, binding every variable the body binds.
+
+    The body runs on the compiled join kernel: {!Plan.compile} turns it,
+    once per call, into a rule whose head carries those variables, and
+    each head row becomes a substitution. The plan never enters the
+    plan cache, and a query never grows the term pool: a positive
+    literal with a ground argument the pool does not know matches no
+    stored row, so the query answers [[]] before compiling. An
+    aggregate still evaluates its inner body on the interpreter
+    ({!Eval.eval_agg}).
+
+    Raises [Invalid_argument] with {!Logic.Rule.check_safety}'s message
+    when the body is not range-restricted. The check runs before
+    anything is evaluated, so it does not depend on the data. *)
 
 val answers : Database.t -> Logic.Atom.t -> Tuple.t list
 (** Instances of an atom pattern in the database, as bound argument

@@ -1,5 +1,11 @@
-(** Rule-body evaluation: the join machinery shared by naive,
-    semi-naive and well-founded evaluation.
+(** Rule-body evaluation by interpretation: the join machinery of
+    naive evaluation and of the [compiled_plans = false] configuration,
+    kept as the differential-testing oracle of the compiled kernel
+    ({!Plan}), which runs every rule and every {!Engine.query}
+    otherwise. Its other callers are the compiled kernel's aggregate
+    step ({!eval_agg}), {!Maintain}'s re-derivation test, {!Explain}'s
+    proof search, and the canonical databases of {!Cq} and
+    [Analysis.Contain].
 
     A body is solved left-to-right after a greedy reorder that always
     picks an evaluable literal (one whose {!Logic.Literal.needs} are

@@ -14,7 +14,8 @@ module SS = Set.Make (String)
    Alongside each term slot the executor tracks the column's intern id
    when it is known (slots bound from stored rows carry the row's
    cached id), so lookup keys and emitted rows mostly avoid re-interning
-   through the term pool. *)
+   through the term pool. Lookup keys never intern: a term the pool does
+   not know is in no stored row, so its key is -1, which matches none. *)
 
 (* Build a ground term from the environment. Compile-time invariant:
    every [Bslot] is written by an earlier op before it is read, and
@@ -27,7 +28,7 @@ type builder =
 
 (* One component of a lookup key: constants are interned at compile
    time, plain slots reuse (and memoize) the slot's id, composite
-   components are built then interned per probe. *)
+   components are built then looked up per probe. *)
 type keysrc = Kfix of int | Kslot of int | Kdyn of builder
 
 (* Match a column of a ground row, binding / checking slots. *)
@@ -50,6 +51,9 @@ type op =
       positions : int array;  (* key positions, strictly increasing *)
       key : keysrc array;
       cols : col array;       (* one action per column *)
+      member : bool;
+          (* every column keyed: a membership test on the row set,
+             with no index built over all the columns *)
     }
   | Negcheck of { pred : string; args : builder array }
   | Builtin of { pred : string; args : builder array }
@@ -157,13 +161,17 @@ let compile (r : Rule.t) ~focus =
           else Cpat (pat bound_ref t))
         a.Atom.args
     in
+    let cols = Array.of_list cols in
     Scan
       {
         pred = a.Atom.pred;
         from_delta;
         positions = Array.of_list (List.rev !positions);
         key = Array.of_list (List.rev !key);
-        cols = Array.of_list cols;
+        cols;
+        member =
+          Array.length cols > 0
+          && Array.for_all (function Ckey -> true | Cpat _ -> false) cols;
       }
   in
   (* Greedy order: identical evaluability and scoring to
@@ -359,11 +367,12 @@ let exec_plan ?(stats = Eval.no_stats) ~db ~neg ?delta ?delta_rows plan
     | Cleaf b -> Literal.Leaf (build b)
     | Cbin (op, e1, e2) -> Literal.Bin (op, to_expr e1, to_expr e2)
   in
+  let find_id t = match Term.find_id t with Some id -> id | None -> -1 in
   let slot_id s =
     let id = env_ids.(s) in
     if id >= 0 then id
     else begin
-      let id = Term.id env.(s) in
+      let id = find_id env.(s) in
       env_ids.(s) <- id;
       id
     end
@@ -371,7 +380,7 @@ let exec_plan ?(stats = Eval.no_stats) ~db ~neg ?delta ?delta_rows plan
   let keyval = function
     | Kfix id -> id
     | Kslot s -> slot_id s
-    | Kdyn b -> Term.id (build b)
+    | Kdyn b -> find_id (build b)
   in
   let nops = Array.length plan.ops in
   (* Relations, index probes and probe-key buffers are resolved once per
@@ -401,7 +410,8 @@ let exec_plan ?(stats = Eval.no_stats) ~db ~neg ?delta ?delta_rows plan
           | Some rel ->
             rels.(i) <- Some rel;
             let npos = Array.length sc.positions in
-            if npos = 1 then
+            if sc.member then keybuf.(i) <- Array.make npos 0
+            else if npos = 1 then
               probe1.(i) <- Relation.prober1 rel ~pos:sc.positions.(0)
             else if npos > 1 then begin
               keybuf.(i) <- Array.make npos 0;
@@ -445,7 +455,19 @@ let exec_plan ?(stats = Eval.no_stats) ~db ~neg ?delta ?delta_rows plan
           | None -> ()
           | Some rel ->
             if not sc.from_delta then stats.Eval.joins <- stats.Eval.joins + 1;
-            if Array.length sc.positions = 0 then
+            if sc.member then begin
+              (* counted like an index probe, so the counters do not
+                 depend on how a bound scan is answered: one index
+                 hit, and one scanned tuple when the row is there *)
+              stats.Eval.index_hits <- stats.Eval.index_hits + 1;
+              let key = keybuf.(i) in
+              Array.iteri (fun j src -> key.(j) <- keyval src) sc.key;
+              if Relation.mem_ids rel key then begin
+                stats.Eval.tuples_scanned <- stats.Eval.tuples_scanned + 1;
+                exec (i + 1)
+              end
+            end
+            else if Array.length sc.positions = 0 then
               Relation.iter_packed row_action.(i) rel
             else if Array.length sc.positions = 1 then begin
               stats.Eval.index_hits <- stats.Eval.index_hits + 1;
@@ -569,10 +591,11 @@ let focus_pred plan = plan.focus_pred
 (* A plan can stream rows straight into its head relation while it
    executes iff doing so can never mutate a structure the executor is
    iterating. Delta scans read an immutable row list, keyed scans read
-   immutable bucket snapshots, and negation/builtin steps are point
-   queries — only a full scan of the head relation itself (Hashtbl
-   iteration) and aggregate subqueries (which re-enter the interpreter
-   over the database) are unsafe under insertion while they run. *)
+   immutable bucket snapshots, and membership tests and
+   negation/builtin steps are point queries — only a full scan of the
+   head relation itself (Hashtbl iteration) and aggregate subqueries
+   (which re-enter the interpreter over the database) are unsafe under
+   insertion while they run. *)
 let streamable plan =
   Array.for_all
     (fun op ->

@@ -9,13 +9,18 @@
     the same order — but pays it once per (rule, focus) instead of once
     per fixpoint round. Positive literals become indexed lookups with
     precomputed key extractors against the signature indexes of
-    {!Relation}; comparisons, negations, assignments and aggregates
-    become residual filter/bind steps.
+    {!Relation}; a positive literal whose every column is bound becomes
+    a membership test on the relation's row set ({!Relation.mem_ids}),
+    so no index keys every column. Comparisons, negations, assignments
+    and aggregates become residual filter/bind steps. Lookup keys are
+    looked up in the term pool, never interned: a term the pool does not
+    know is in no stored row.
 
-    Plans are cached globally, keyed by (rule, focus). Every plan uses
-    the greedy order; the cache is the module's only mutable state. The
-    interpreted path in {!Eval} is kept as the differential-testing
-    oracle (see [test/test_differential.ml]). *)
+    Rule plans are cached globally, keyed by (rule, focus). Every plan
+    uses the greedy order; the cache is the module's only mutable
+    state. {!Datalog.Engine.query} compiles each query with {!compile}
+    and never caches it. The interpreted path in {!Eval} is kept as the
+    differential-testing oracle (see [test/test_differential.ml]). *)
 
 type t
 (** A compiled plan for one rule and one optional focus position. *)

@@ -44,6 +44,7 @@ let cardinal r = Tuple.Hashset.cardinal r.rows
 let is_empty r = Tuple.Hashset.is_empty r.rows
 
 let mem_packed r p = Tuple.Hashset.mem r.rows p
+let mem_ids r ids = Tuple.Hashset.mem_ids r.rows ids
 
 let mem r tup =
   match Packed.probe tup with

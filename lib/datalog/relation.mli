@@ -43,6 +43,11 @@ val to_list : t -> Tuple.t list
 
 val mem_packed : t -> Tuple.Packed.t -> bool
 
+val mem_ids : t -> int array -> bool
+(** [mem_ids r ids]: [r] holds the row whose column intern ids are
+    [ids] — a row-set lookup that builds no index and interns nothing
+    (the compiled kernel's test for a scan with every column bound). *)
+
 val add_packed : t -> Tuple.Packed.t -> bool
 
 val load_packed : t -> Tuple.Packed.t -> unit

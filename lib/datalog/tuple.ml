@@ -88,6 +88,12 @@ module Hashset = struct
   let cardinal = H.length
   let is_empty s = H.length s = 0
   let mem s p = H.mem s p
+
+  (* Equality and hashing read only a row's ids, so a probe needs no
+     terms: the empty column array never leaves this function. *)
+  let mem_ids s ids =
+    H.mem s { Packed.terms = [||]; key = ids; hash = Packed.hash_key ids }
+
   let find s p = H.find_opt s p
 
   (* One bucket walk, not two: keys are unique, so a plain [H.add]

@@ -53,6 +53,12 @@ module Hashset : sig
   val is_empty : t -> bool
   val mem : t -> Packed.t -> bool
 
+  val mem_ids : t -> int array -> bool
+  (** [mem_ids s ids]: the set holds the row whose column intern ids
+      are [ids] (its arity is their number). No row is built and
+      nothing is interned; an id that is no term's (such as -1)
+      matches no row. [ids] is read transiently and may be reused. *)
+
   val find : t -> Packed.t -> Packed.t option
   (** The canonical stored row equal to the probe, if any — callers use
       it for physical-equality bucket pruning. *)

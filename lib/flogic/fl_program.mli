@@ -37,9 +37,14 @@ val run_wellfounded :
 
 val query :
   t -> Datalog.Database.t -> Molecule.lit list -> Logic.Subst.t list
-(** Solve an FL conjunctive query against a materialized database. *)
+(** Solve an FL conjunctive query against a materialized database
+    ({!Datalog.Engine.query}). Raises [Invalid_argument] with
+    {!Logic.Rule.check_safety}'s message when the query is not
+    range-restricted, whatever the database holds. *)
 
 val holds : t -> Datalog.Database.t -> Molecule.t -> bool
+(** Some instance of the molecule is in the database. Raises
+    [Invalid_argument] as {!query} does. *)
 
 val instances_of : Datalog.Database.t -> string -> Logic.Term.t list
 (** Objects [X] with [isa(X, c)] in the database. *)

@@ -752,14 +752,15 @@ let query_text t src =
   match Flogic.Fl_parser.parse_query ~signature:t.sg src with
   | Error e -> Error e
   | Ok lits -> (
-    try Ok (query t lits)
-    with Datalog.Engine.Undefined_atoms n ->
+    try Ok (query t lits) with
+    | Datalog.Engine.Undefined_atoms n ->
       Error
         (Printf.sprintf
            "the mediated base leaves %d atom%s undefined under the \
             well-founded semantics"
            n
-           (if n = 1 then "" else "s")))
+           (if n = 1 then "" else "s"))
+    | Invalid_argument e -> Error e)
 
 let holds t m = query t [ Molecule.Pos m ] <> []
 

@@ -175,12 +175,22 @@ val last_maintenance : t -> Datalog.Maintain.report option
     drove result-cache invalidation. *)
 
 val query : t -> Flogic.Molecule.lit list -> Logic.Subst.t list
+(** Answer an FL query over the mediated base ({!Datalog.Engine.query}
+    on the compiled query), from the result cache when it holds the
+    query. Raises [Invalid_argument] with {!Logic.Rule.check_safety}'s
+    message when the query is not range-restricted, whatever the base
+    holds. *)
+
 val query_text : t -> string -> (Logic.Subst.t list, string) result
-(** Parse and run an FL query. [Error] on a parse error, and when the
-    mediated base falls back to the well-founded semantics and leaves
-    atoms undefined ({!Datalog.Engine.Undefined_atoms}). *)
+(** Parse and run an FL query. [Error] on a parse error, on a query
+    that is not range-restricted, and when the mediated base falls
+    back to the well-founded semantics and leaves atoms undefined
+    ({!Datalog.Engine.Undefined_atoms}). *)
 
 val holds : t -> Flogic.Molecule.t -> bool
+(** Some instance of the molecule is in the mediated base. Raises
+    [Invalid_argument] as {!query} does. *)
+
 val consistent : t -> bool
 (** No integrity-constraint witnesses in the mediated object base. *)
 

@@ -421,6 +421,130 @@ let test_query_negation_and_cmp () =
   in
   Alcotest.(check int) "1 and 3" 2 (List.length ss)
 
+(* -------------------------------------------------------------------- *)
+(* Compiled-kernel invariants *)
+
+(* Queries are compiled per call: they add no plan to the plan cache,
+   and whatever constants they carry they add no term to the pool,
+   which never frees an entry. Each shape below reaches the pool a
+   different way: a ground argument, a key bound by an equality, a
+   composite key, an assigned number, a negation and a comparison. *)
+let test_query_grows_nothing () =
+  let p = Program.make_exn (tc_rules @ chain_edges 4) in
+  let db = Engine.materialize p (Database.create ()) in
+  let pool0 = Term.pool_size () and cache0 = Plan.cache_size () in
+  let answers k =
+    let fresh = s (Printf.sprintf "never_interned_%d" k) in
+    let from_n0 = Literal.pos "tc" [ s "n0"; v "X" ] in
+    List.map
+      (fun body -> List.length (Engine.query db body))
+      [
+        [ Literal.pos "tc" [ s "n0"; fresh ] ];
+        [ from_n0; Literal.cmp Literal.Eq (v "Y") fresh;
+          Literal.pos "tc" [ v "X"; v "Y" ] ];
+        [ from_n0; Literal.cmp Literal.Eq (v "Y") fresh;
+          Literal.pos "tc" [ v "X"; Term.app "f" [ v "Y" ] ] ];
+        [ from_n0;
+          Literal.assign (v "N")
+            (Literal.Bin
+               (Literal.Add, Literal.Leaf (i 1_000_000), Literal.Leaf (i k)));
+          Literal.pos "tc" [ v "X"; v "N" ] ];
+        [ from_n0; Literal.neg "tc" [ v "X"; fresh ] ];
+        [ from_n0; Literal.cmp Literal.Ne (v "X") fresh ];
+      ]
+  in
+  for k = 1 to 1000 do
+    Alcotest.(check (list int)) "answers" [ 0; 0; 0; 0; 4; 4 ] (answers k)
+  done;
+  Alcotest.(check int) "term pool unchanged" pool0 (Term.pool_size ());
+  Alcotest.(check int) "plan cache unchanged" cache0 (Plan.cache_size ())
+
+(* A scan with every column bound is a membership test on the row set:
+   it finds present rows, not absent ones, and a row of another arity
+   under the same predicate never matches. Each test counts one join
+   and one index hit, plus one scanned tuple when the row is there. *)
+let test_fully_bound_scan () =
+  let db =
+    Database.of_facts
+      [
+        atom "k2" [ s "a"; s "b" ]; atom "k2" [ s "a"; s "c" ];
+        atom "k1" [ s "a" ]; atom "k1" [ s "b" ];
+        atom "r" [ s "a"; s "b" ]; atom "r" [ s "a"; s "b"; s "c" ];
+        atom "r" [ s "b" ];
+      ]
+  in
+  let show ss =
+    List.map
+      (fun sub ->
+        String.concat ","
+          (List.map
+             (fun (x, t) -> x ^ "=" ^ Term.to_string t)
+             (Subst.bindings sub)))
+      ss
+    |> List.sort String.compare
+  in
+  let check name body expected =
+    let st = Eval.new_stats () in
+    let got = Engine.query ~stats:st db body in
+    Alcotest.(check (list string)) name expected (show got);
+    Alcotest.(check (list string)) (name ^ ": interpreter agrees")
+      (show (Eval.solve_body ~db ~neg:db body)) (show got);
+    Alcotest.(check (list int))
+      (name ^ ": joins, index hits, scanned")
+      [ 3; 2; 3 ]
+      [ st.Eval.joins; st.Eval.index_hits; st.Eval.tuples_scanned ]
+  in
+  check "binary: r(a,b) present, r(a,c) absent"
+    [ Literal.pos "k2" [ v "X"; v "Y" ]; Literal.pos "r" [ v "X"; v "Y" ] ]
+    [ "X=a,Y=b" ];
+  check "unary: r(b) present, r(a) absent beside r(a,b) and r(a,b,c)"
+    [ Literal.pos "k1" [ v "X" ]; Literal.pos "r" [ v "X" ] ]
+    [ "X=b" ];
+  Alcotest.(check int) "ground ternary query" 1
+    (List.length (Engine.query db [ Literal.pos "r" [ s "a"; s "b"; s "c" ] ]));
+  Alcotest.(check int) "ternary pattern over a binary row" 0
+    (List.length (Engine.query db [ Literal.pos "r" [ s "a"; s "b"; s "b" ] ]));
+  let p =
+    Program.make_exn
+      [
+        rule (atom "both" [ v "X"; v "Y" ])
+          [ Literal.pos "k2" [ v "X"; v "Y" ]; Literal.pos "r" [ v "X"; v "Y" ] ];
+        rule (atom "one" [ v "X" ])
+          [ Literal.pos "k1" [ v "X" ]; Literal.pos "r" [ v "X" ] ];
+      ]
+  in
+  let m = Engine.materialize p db in
+  Alcotest.(check (list string)) "rule: both" [ "a,b" ]
+    (sorted_answers m "both" 2);
+  Alcotest.(check (list string)) "rule: one" [ "b" ] (sorted_answers m "one" 1)
+
+(* The counters of a small fixed program, pinned: turning fully bound
+   scans into membership tests must count what the index probes they
+   replace counted. [direct] and [first] end in a fully bound scan of
+   a binary and a unary relation. *)
+let test_kernel_counters_pinned () =
+  let p =
+    Program.make_exn
+      (tc_rules @ chain_edges 6
+      @ [
+          fact "start" [ s "n0" ];
+          rule (atom "direct" [ v "X"; v "Y" ])
+            [ Literal.pos "tc" [ v "X"; v "Y" ]; Literal.pos "edge" [ v "X"; v "Y" ] ];
+          rule (atom "indirect" [ v "X"; v "Y" ])
+            [ Literal.pos "tc" [ v "X"; v "Y" ]; Literal.neg "edge" [ v "X"; v "Y" ] ];
+          rule (atom "first" [ v "X" ])
+            [ Literal.pos "tc" [ v "X"; v "Y" ]; Literal.pos "start" [ v "X" ] ];
+        ])
+  in
+  let rep = ref Engine.empty_report in
+  let db = Engine.materialize ~report:rep p (Database.create ()) in
+  Alcotest.(check (list int)) "tc, direct, indirect, first" [ 21; 6; 15; 1 ]
+    (List.map (Database.count db) [ "tc"; "direct"; "indirect"; "first" ]);
+  Alcotest.(check (list int)) "derived, joins, index hits, scanned"
+    [ 43; 96; 91; 158 ]
+    [ !rep.Engine.derived; !rep.Engine.joins; !rep.Engine.index_hits;
+      !rep.Engine.tuples_scanned ]
+
 (* Property: naive and semi-naive agree on random acyclic tc workloads. *)
 let prop_strategies_agree =
   QCheck.Test.make ~name:"naive = semi-naive on random graphs" ~count:60
@@ -512,5 +636,13 @@ let suites =
         Alcotest.test_case "negation + cmp" `Quick test_query_negation_and_cmp;
         QCheck_alcotest.to_alcotest prop_strategies_agree;
         QCheck_alcotest.to_alcotest prop_tc_transitive;
+      ] );
+    ( "datalog.kernel",
+      [
+        Alcotest.test_case "queries grow neither pool nor cache" `Quick
+          test_query_grows_nothing;
+        Alcotest.test_case "fully bound scans test membership" `Quick
+          test_fully_bound_scan;
+        Alcotest.test_case "counters pinned" `Quick test_kernel_counters_pinned;
       ] );
   ]

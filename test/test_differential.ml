@@ -22,6 +22,11 @@
    handle must track the compiled one, and programs without aggregates
    must never fall back to rebuilding a stratum.
 
+   Queries are checked against the interpreter too: every rule body,
+   plus one random extra literal, asked of the materialized model
+   through Engine.query (the compiled kernel) and Eval.solve_body must
+   give the same bindings, and neither may grow the term pool.
+
    The run is deterministic: case [i] uses seed [base*10_000 + i] where
    [base] comes from KIND_DIFF_SEED (default 0), so a failure report
    ("seed N: ...") reproduces by running the suite with the same
@@ -163,6 +168,41 @@ let gen_delta st ~edb_facts ~idb =
   in
   Maintain.delta ~additions ~deletions ()
 
+(* One literal to append to a query body: a [<>] test, a binding
+   equality, an assignment, a builtin, or a positive or negated atom
+   holding [unseen], a constant no stored row holds. *)
+let extra_literal st ~idb ~unseen body =
+  let vs = List.sort_uniq compare (List.concat_map Literal.binds body) in
+  let term () =
+    if vs <> [] && Random.State.int st 100 < 70 then Term.var (pick st vs)
+    else const st
+  in
+  match Random.State.int st 7 with
+  | 0 -> Literal.cmp Literal.Ne (term ()) (term ())
+  | 1 -> Literal.cmp Literal.Eq (Term.var "E") (term ())
+  | 2 ->
+    let leaf () =
+      Literal.Leaf
+        (if Random.State.bool st then Term.int (Random.State.int st 4)
+         else term ())
+    in
+    Literal.assign (Term.var "S") (Literal.Bin (Literal.Add, leaf (), leaf ()))
+  | 3 ->
+    let name, args =
+      pick st
+        [
+          ("is_const", [ term () ]);
+          ("is_app", [ term () ]);
+          ("not_functor_prefix", [ term (); Term.str "k" ]);
+        ]
+    in
+    Literal.pos (Literal.builtin_prefix ^ name) args
+  | k ->
+    let name, ar = pick st (edb_preds @ idb) in
+    let at = Random.State.int st ar in
+    let args = List.init ar (fun j -> if j = at then unseen else term ()) in
+    if k < 5 then Literal.pos name args else Literal.neg name args
+
 (* ------------------------------------------------------------------ *)
 (* Checks                                                              *)
 
@@ -171,6 +211,34 @@ let facts_str db =
 
 let check_same ctx a b =
   Alcotest.(check (list string)) ctx (facts_str a) (facts_str b)
+
+let show_answers ss =
+  List.map
+    (fun sub ->
+      String.concat ","
+        (List.map
+           (fun (x, t) -> x ^ "=" ^ Term.to_string t)
+           (Subst.bindings sub)))
+    ss
+  |> List.sort compare
+
+(* The compiled query answers what the interpreter does; a body the
+   safety check rejects is refused, whatever the data holds. *)
+let check_query ctx db body =
+  let head =
+    Atom.make "q"
+      (List.map Term.var
+         (List.sort_uniq compare (List.concat_map Literal.binds body)))
+  in
+  match Rule.check_safety (Rule.make head body) with
+  | Error _ -> (
+    match Engine.query db body with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: unsafe query answered" ctx)
+  | Ok () ->
+    Alcotest.(check (list string)) ctx
+      (show_answers (Datalog.Eval.solve_body ~db ~neg:db body))
+      (show_answers (Engine.query db body))
 
 let naive_config = { Engine.default_config with strategy = Engine.Naive }
 
@@ -218,6 +286,24 @@ let run_case seed =
   check_same (ctx "compiled == interpreted")
     (Engine.materialize ~config:interpreted_config p edb)
     full;
+  (* queries: each rule body plus one extra literal, compiled against
+     interpreted, from a stream of their own so the checks below see
+     the same cases *)
+  let qst = Random.State.make [| seed; 1 |] in
+  let pool = Term.pool_size () in
+  List.iteri
+    (fun k (r : Rule.t) ->
+      let unseen = Term.sym (Printf.sprintf "unseen_%d_%d" seed k) in
+      let extra = extra_literal qst ~idb ~unseen r.Rule.body in
+      let body = r.Rule.body @ [ extra ] in
+      check_query
+        (ctx
+           ("compiled query == interpreted: "
+           ^ String.concat ", " (List.map Literal.to_string body)))
+        full body)
+    rules;
+  Alcotest.(check int) (ctx "queries grow no term pool") pool
+    (Term.pool_size ());
   let fresh ?compiled edb =
     fail_on_error "Maintain.init" (Maintain.init ?compiled p edb)
   in

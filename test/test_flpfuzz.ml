@@ -14,7 +14,9 @@ module P = Flogic.Fl_parser
 (* Generators                                                          *)
 
 let samples =
-  lazy (List.map Test_absint.read_sample [ "spines.flp"; "broken.flp" ])
+  lazy
+    (List.map Test_absint.read_sample
+       [ "spines.flp"; "broken.flp"; "undefined.flp" ])
 
 (* every byte the lexer branches on, plus a few it rejects *)
 let alphabet =
@@ -46,7 +48,7 @@ let mutated_gen =
       let n = String.length src in
       let src = String.sub src (cut mod n) (n - (cut mod n)) in
       List.fold_left Test_xmlfuzz.apply_mutation src muts)
-    (int_bound 1) nat
+    (int_bound 2) nat
     (list_size (int_range 1 8) mutation_gen)
 
 (* token-sized pieces: whatever a lexer would emit, glued at random *)

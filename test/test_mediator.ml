@@ -91,6 +91,32 @@ let test_query_text () =
   | Ok answers -> Alcotest.(check bool) "rat rows exist" true (answers <> [])
   | Error e -> Alcotest.failf "query failed: %s" e
 
+(* An unsafe query is an [Error] carrying the safety check's message
+   whatever the base holds: the check runs before evaluation, so a
+   first literal with no answers does not hide it. *)
+let test_unsafe_queries () =
+  let med = fresh_mediator () in
+  List.iter
+    (fun (q, expected) ->
+      match Mediator.query_text med q with
+      | Ok _ -> Alcotest.failf "unsafe query answered: %s" q
+      | Error e -> Alcotest.(check string) q expected e)
+    [
+      ("?- not X : spine.", "rule query: variable X is not range-restricted");
+      ( "?- X : spine, not X[volume ->> V].",
+        "rule query(X): variable V is not range-restricted" );
+      ("?- X > 3.", "rule query: variable X is not range-restricted");
+      ("?- X = Y.", "rule query(X, Y): variable X is not range-restricted");
+      ( "?- X : no_such_class, X > Y.",
+        "rule query(X): variable Y is not range-restricted" );
+      ( "?- X : spine, X > Y.",
+        "rule query(X): variable Y is not range-restricted" );
+    ];
+  match Mediator.query_text med "?- X : spine." with
+  | Ok answers ->
+    Alcotest.(check bool) "safe queries still answer" true (answers <> [])
+  | Error e -> Alcotest.failf "query failed: %s" e
+
 let test_ivd () =
   let med = fresh_mediator () in
   (match
@@ -569,6 +595,7 @@ let suites =
         Alcotest.test_case "register sources" `Quick test_registration;
         Alcotest.test_case "conceptual lifting" `Quick test_lifting;
         Alcotest.test_case "text queries" `Quick test_query_text;
+        Alcotest.test_case "unsafe queries" `Quick test_unsafe_queries;
         Alcotest.test_case "IVDs" `Quick test_ivd;
         Alcotest.test_case "unsafe or undefined IVDs" `Quick test_bad_ivd;
         Alcotest.test_case "unsafe molecule-level IVD" `Quick
