@@ -53,6 +53,20 @@ let pp_answers lits answers =
           ("  " ^ if bindings = [] then "yes." else String.concat ", " bindings))
       answers
 
+(* Materialize the program and hand the model to [k]. A materialized
+   database holds only true facts: a model that leaves atoms undefined
+   is reported, exit 1. *)
+let with_model t k =
+  match Flogic.Fl_program.run t with
+  | exception Datalog.Engine.Undefined_atoms n ->
+    Printf.eprintf
+      "the program leaves %d atom%s undefined under the well-founded \
+       semantics\n"
+      n
+      (if n = 1 then "" else "s");
+    1
+  | db -> k db
+
 (* ------------------------------------------------------------------ *)
 (* run *)
 
@@ -159,16 +173,8 @@ let run_cmd =
         | Error e ->
           prerr_endline e;
           1
-        | Ok _ -> (
-          match Flogic.Fl_program.run t with
-          | exception Datalog.Engine.Undefined_atoms n ->
-            Printf.eprintf
-              "the program leaves %d atom%s undefined under the \
-               well-founded semantics\n"
-              n
-              (if n = 1 then "" else "s");
-            1
-          | db ->
+        | Ok _ ->
+          with_model t (fun db ->
             Printf.printf "%d facts derived.\n" (Datalog.Database.cardinal db);
             (* an unsafe query is reported and skipped; the others
                still run *)
@@ -208,19 +214,19 @@ let check_cmd =
         Flogic.Fl_program.make ~signature:parsed.Flogic.Fl_parser.signature
           parsed.Flogic.Fl_parser.rules
       in
-      let db = Flogic.Fl_program.run t in
-      let ws = Flogic.Ic.violations db in
-      if ws = [] then begin
-        print_endline "consistent: no integrity-constraint witnesses.";
-        0
-      end
-      else begin
-        Printf.printf "%d violation(s):\n" (List.length ws);
-        List.iter
-          (fun w -> Format.printf "  %a@." Flogic.Ic.pp_witness w)
-          ws;
-        1
-      end
+      with_model t (fun db ->
+        let ws = Flogic.Ic.violations db in
+        if ws = [] then begin
+          print_endline "consistent: no integrity-constraint witnesses.";
+          0
+        end
+        else begin
+          Printf.printf "%d violation(s):\n" (List.length ws);
+          List.iter
+            (fun w -> Format.printf "  %a@." Flogic.Ic.pp_witness w)
+            ws;
+          1
+        end)
   in
   Cmd.v
     (Cmd.info "check" ~doc:"audit an F-logic program for integrity violations")

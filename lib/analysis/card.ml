@@ -134,62 +134,6 @@ module Fix = Absint.Make (Dom)
 let rule_deps (r : Rule.t) =
   List.sort_uniq String.compare (List.map fst (Rule.body_predicates r))
 
-let sccs rules =
-  (* Tarjan over predicate names. *)
-  let adj = Hashtbl.create 16 in
-  let nodes = ref SS.empty in
-  List.iter
-    (fun r ->
-      let h = Rule.head_pred r in
-      nodes := SS.add h !nodes;
-      List.iter
-        (fun d ->
-          nodes := SS.add d !nodes;
-          Hashtbl.add adj h d)
-        (rule_deps r))
-    rules;
-  let index = Hashtbl.create 16 in
-  let lowlink = Hashtbl.create 16 in
-  let on_stack = Hashtbl.create 16 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let comp_of = Hashtbl.create 16 in
-  let ncomp = ref 0 in
-  let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
-    incr counter;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v true;
-    List.iter
-      (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-        end
-        else if Hashtbl.find_opt on_stack w = Some true then
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (Hashtbl.find_all adj v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-      let c = !ncomp in
-      incr ncomp;
-      let rec pop () =
-        match !stack with
-        | [] -> ()
-        | w :: rest ->
-          stack := rest;
-          Hashtbl.replace on_stack w false;
-          Hashtbl.replace comp_of w c;
-          if not (String.equal w v) then pop ()
-      in
-      pop ()
-    end
-  in
-  SS.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) !nodes;
-  fun p -> Hashtbl.find_opt comp_of p
-
 let term_has_app = function
   | Term.App _ -> true
   | Term.Var _ | Term.Const _ -> false
@@ -607,7 +551,7 @@ type result = {
 
 let analyze ?(max_steps = 200_000) ?edb ?assume_nonempty ?seed rules =
   let seed_of = seeds ?edb ?assume_nonempty ?seed rules in
-  let comp = sccs rules in
+  let comp = Datalog.Stratify.sccs rules in
   let defined = List.filter (fun r -> not (Rule.is_fact r)) rules in
   let by_head = Hashtbl.create 16 in
   List.iter

@@ -57,9 +57,11 @@ let facts db pred =
 let all_facts db =
   List.concat_map (fun p -> facts db p) (predicates db)
 
-let copy db =
+let copy ?(keep = fun _ -> true) db =
   let db' = create () in
-  Hashtbl.iter (fun p r -> Hashtbl.replace db' p (Relation.copy r)) db;
+  Hashtbl.iter
+    (fun p r -> if keep p then Hashtbl.replace db' p (Relation.copy r))
+    db;
   db'
 
 let merge_into ~dst src =

@@ -37,10 +37,11 @@ val facts : t -> string -> Logic.Atom.t list
 
 val all_facts : t -> Logic.Atom.t list
 
-val copy : t -> t
+val copy : ?keep:(string -> bool) -> t -> t
 (** Snapshot: every relation is copied with its rows and built indexes
     cloned (see {!Relation.copy}), so the copy starts warm and
-    mutations never alias. *)
+    mutations never alias. [keep] (default: every predicate) limits the
+    copy to the predicates it accepts. *)
 
 val equal : t -> t -> bool
 (** Extensional equality: the same facts under every predicate

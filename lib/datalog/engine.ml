@@ -36,6 +36,7 @@ type report = {
   stratified : bool;
   strata : int;
   rounds : int;
+  alternations : int;
   derived : int;
   skolems_suppressed : int;
   joins : int;
@@ -55,6 +56,7 @@ let empty_report =
     stratified = true;
     strata = 0;
     rounds = 0;
+    alternations = 0;
     derived = 0;
     skolems_suppressed = 0;
     joins = 0;
@@ -85,12 +87,109 @@ let run_stratum config stats rules db =
     in
     (o.Naive.rounds, o.Naive.derived, o.Naive.skolems_suppressed)
 
+(* The relaxation of a rule: its body without the negations of
+   predicates in the head's component, and the atoms of those dropped
+   negations. *)
+let relax scc (r : Rule.t) =
+  let own = scc (Rule.head_pred r) in
+  List.partition_map
+    (function
+      | Literal.Neg a when scc a.Atom.pred = own -> Either.Right a
+      | l -> Either.Left l)
+    r.Rule.body
+
+(* an aggregate reading the head's component: Γ is then not
+   antimonotone, and the relaxation certifies nothing *)
+let aggregates_inside scc (r : Rule.t) =
+  let own = scc (Rule.head_pred r) in
+  List.exists
+    (function
+      | Literal.Agg g ->
+        List.exists (fun (a : Atom.t) -> scc a.Atom.pred = own) g.Literal.body
+      | _ -> false)
+    r.Rule.body
+
+let fires = Atom.make "fires" []
+
+type certified = {
+  model : Database.t;
+  rounds : int;
+  alternations : int;
+  skolems : int;
+}
+
+(* The well-founded model of an unstratified program from its stratified
+   relaxation (DESIGN.md §9), stratum by stratum over [db], which it
+   mutates. A stratum runs its rules with every negation inside a head's
+   component dropped: that is Γ(∅) on the stratum, lower strata fixed.
+   Then one compiled query per dropped [not a], the kept body plus [a],
+   looks for a rule instance that fires with [a] true. None does: the
+   result R is a fixpoint of Γ and the stratum's total model. One does:
+   the alternating fixpoint of the stratum's own rules continues from R,
+   over the lower strata plus the stratum's loaded facts ([load]).
+   Raises [Undefined_atoms] with [undefined ()] when a stratum's model
+   is not total. *)
+let certify config stats (l : Stratify.layers) ~load ~undefined db =
+  let rounds = ref 0 and alternations = ref 0 and skolems = ref 0 in
+  let stratum db rules =
+    let split = List.map (fun r -> (r, relax l.Stratify.scc r)) rules in
+    let relaxed =
+      List.map
+        (fun (r, (kept, dropped)) ->
+          if dropped = [] then r else Rule.make r.Rule.head kept)
+        split
+    in
+    let n, _, s = run_stratum config stats relaxed db in
+    rounds := !rounds + n;
+    let fired (_, (kept, dropped)) =
+      List.exists
+        (fun a ->
+          let check = Rule.make fires (kept @ [ Literal.Pos a ]) in
+          Plan.run ~stats ~db ~neg:db (Plan.compile check ~focus:None) <> [])
+        dropped
+    in
+    if not (List.exists fired split) then begin
+      skolems := !skolems + s;
+      db
+    end
+    else begin
+      let heads = Hashtbl.create 16 in
+      List.iter (fun r -> Hashtbl.replace heads (Rule.head_pred r) ()) rules;
+      let own = Hashtbl.mem heads in
+      let base = Database.copy ~keep:(fun q -> not (own q)) db in
+      ignore (Database.merge_into ~dst:base (load own));
+      let m =
+        Wellfounded.alternate ~stats ~compiled:config.compiled_plans
+          ~max_term_depth:config.max_term_depth ~max_rounds:config.max_rounds
+          rules ~base (db, s)
+      in
+      alternations := !alternations + m.Wellfounded.alternations;
+      if not (Wellfounded.is_total m) then raise (Undefined_atoms (undefined ()));
+      skolems := !skolems + m.Wellfounded.skolems_suppressed;
+      m.Wellfounded.true_facts
+    end
+  in
+  let model =
+    List.fold_left
+      (fun db rules -> if rules = [] then db else stratum db rules)
+      db l.Stratify.rules
+  in
+  { model; rounds = !rounds; alternations = !alternations; skolems = !skolems }
+
 let materialize ?(config = default_config) ?report p edb =
   let stats = Eval.new_stats () in
   let durable = Store.resolve config.durability in
   let facts, p = Program.split_facts p in
-  let db = Database.copy edb in
-  List.iter (fun f -> ignore (Database.add_fact db f)) facts;
+  (* the base facts of the predicates [keep] accepts: the EDB plus the
+     program's own facts *)
+  let load keep =
+    let db = Database.copy ~keep edb in
+    List.iter
+      (fun (f : Atom.t) -> if keep f.Atom.pred then ignore (Database.add_fact db f))
+      facts;
+    db
+  in
+  let db = load (fun _ -> true) in
   (* the base-fact database a checkpoint must carry so recovery can
      re-adopt the materialization for incremental maintenance *)
   let base = match durable with Some _ -> Some (Database.copy db) | None -> None in
@@ -106,7 +205,7 @@ let materialize ?(config = default_config) ?report p edb =
       (Program.make_exn kept, List.length rules - List.length kept)
   in
   let fill_report ~checkpoint_ms ~wal_bytes ~stratified ~strata
-      ~rounds ~derived ~skolems =
+      ~rounds ~alternations ~derived ~skolems =
     match report with
     | None -> ()
     | Some r ->
@@ -115,6 +214,7 @@ let materialize ?(config = default_config) ?report p edb =
           stratified;
           strata;
           rounds;
+          alternations;
           derived;
           skolems_suppressed = skolems;
           joins = stats.Eval.joins;
@@ -129,8 +229,9 @@ let materialize ?(config = default_config) ?report p edb =
           wal_bytes;
         }
   in
-  match Stratify.rules_by_stratum p with
-  | Ok strata ->
+  let layers = Stratify.layers p in
+  let strata = layers.Stratify.rules in
+  if layers.Stratify.cyclic = [] then begin
     let rounds = ref 0 and derived = ref 0 and skolems = ref 0 in
     List.iter
       (fun rules ->
@@ -161,34 +262,56 @@ let materialize ?(config = default_config) ?report p edb =
     in
     fill_report ~checkpoint_ms ~wal_bytes ~stratified:true
       ~strata:(List.length strata)
-      ~rounds:!rounds ~derived:!derived ~skolems:!skolems;
+      ~rounds:!rounds ~alternations:0 ~derived:!derived ~skolems:!skolems;
     db
-  | Error _ ->
-    let model =
+  end
+  else begin
+    let loaded = Database.cardinal db in
+    let wellfounded () =
       Wellfounded.compute ~stats ~compiled:config.compiled_plans
         ~max_term_depth:config.max_term_depth ~max_rounds:config.max_rounds
-        p db
+        p (load (fun _ -> true))
     in
-    let undef = Database.cardinal model.Wellfounded.undefined in
-    if undef > 0 then raise (Undefined_atoms undef);
-    fill_report ~checkpoint_ms:0.0 ~wal_bytes:0 ~stratified:false ~strata:1
-      ~rounds:model.Wellfounded.alternations
-      ~derived:(Database.cardinal model.Wellfounded.true_facts
-                - Database.cardinal db)
-      ~skolems:model.Wellfounded.skolems_suppressed;
-    (* hand back a settled model: every index the alternating
-       fixpoint built has replayed its insertion log, so the first
-       query over a rebuild does not pay that backlog. The stratified
-       branch is left lazy: there the replay mostly feeds indexes
-       built for one round and never probed again. *)
-    Database.settle model.Wellfounded.true_facts;
+    let c =
+      if List.exists (List.exists (aggregates_inside layers.Stratify.scc)) strata
+      then begin
+        let m = wellfounded () in
+        let undef = Database.cardinal m.Wellfounded.undefined in
+        if undef > 0 then raise (Undefined_atoms undef);
+        {
+          model = m.Wellfounded.true_facts;
+          rounds = m.Wellfounded.alternations;
+          alternations = m.Wellfounded.alternations;
+          skolems = m.Wellfounded.skolems_suppressed;
+        }
+      end
+      else
+        (* a stratum that is not total: the count is the whole model's,
+           whose higher strata inherit the undefined atoms *)
+        certify config stats layers ~load
+          ~undefined:(fun () ->
+            Database.cardinal (wellfounded ()).Wellfounded.undefined)
+          db
+    in
+    fill_report ~checkpoint_ms:0.0 ~wal_bytes:0 ~stratified:false
+      ~strata:(List.length strata) ~rounds:c.rounds
+      ~alternations:c.alternations
+      ~derived:(Database.cardinal c.model - loaded)
+      ~skolems:c.skolems;
+    (* hand back a settled model: every index the evaluation built has
+       replayed its insertion log, so the first query over a rebuild
+       does not pay that backlog. The stratified branch is left lazy:
+       there the replay mostly feeds indexes built for one round and
+       never probed again. *)
+    Database.settle c.model;
     (* The replay's index cells and the model's last rows are young
        and all survive: promote them here, or the next minor
        collection does it inside whichever query happens to fill the
        minor heap first, and that query's latency then depends on
        where the rebuild left the heap. *)
     Gc.minor ();
-    model.Wellfounded.true_facts
+    c.model
+  end
 
 let maintain ?(config = default_config) ?report p db delta =
   match

@@ -1,6 +1,7 @@
 (** Engine facade: stratified materialization with a choice of strategy,
-    automatic fallback to the well-founded semantics, and conjunctive
-    querying of materialized databases.
+    the well-founded semantics for unstratified programs (certified from
+    their stratified relaxation), and conjunctive querying of
+    materialized databases.
 
     This is the single deductive engine the mediator architecture calls
     for ("the mediator needs only a single GCM engine", Section 2). It
@@ -56,22 +57,38 @@ type config = {
           materialization from checkpoint + log suffix
           ({!Store.recover}). [None] (the default) falls back to the
           [KIND_DURABLE_DIR] environment variable ({!Store.resolve});
-          unset means durability off. The well-founded fallback path
-          never checkpoints (snapshots encode two-valued databases
-          only). *)
+          unset means durability off. An unstratified program is never
+          checkpointed: no {!Maintain} handle can adopt it, so there
+          is no log to replay through. *)
 }
 
 val default_config : config
 
 exception Undefined_atoms of int
-(** Raised by {!materialize} when the well-founded fallback leaves atoms
-    undefined: a materialized database cannot represent three-valued
-    results — use {!Wellfounded.compute} directly for those programs. *)
+(** Raised by {!materialize} when the well-founded model of an
+    unstratified program leaves atoms undefined, with the number of
+    them in the whole model: a materialized database cannot represent
+    three-valued results — use {!Wellfounded.compute} directly for
+    those programs. *)
 
 type report = {
   stratified : bool;
+      (** [false] for an unstratified program, evaluated under the
+          well-founded semantics *)
   strata : int;
+      (** strata evaluated; for an unstratified program, the strata of
+          its relaxation *)
   rounds : int;
+      (** semi-naive rounds over all strata; for an unstratified
+          program, the relaxation's (its Γ applications count in
+          [alternations]), or the Γ applications again when the whole
+          program alternates *)
+  alternations : int;
+      (** Γ applications of the alternating fixpoint: 0 when the
+          program is stratified or every stratum of its relaxation
+          certifies itself, else those of the strata whose certificate
+          failed (every one of them when an aggregate sits inside a
+          component and the whole program alternates) *)
   derived : int;
   skolems_suppressed : int;
   joins : int;
@@ -107,11 +124,24 @@ val materialize :
 (** [materialize p edb] computes the least (or well-founded) model of
     [p] over [edb] and returns it as a fresh database containing EDB and
     IDB facts. [edb] is not mutated. Ground facts contained in [p]
-    itself are added first. A well-founded result is settled
-    ({!Database.settle}) and promoted out of the minor heap: the
-    indexes the evaluation built are caught up, so the first queries
-    over it neither replay their insertion logs nor copy the model's
-    young rows. *)
+    itself are added first.
+
+    A stratified program runs stratum by stratum. An unstratified one
+    runs its stratified relaxation: every negation of a predicate in
+    the head's component (strongly connected component of the
+    predicate graph) dropped, one semi-naive pass per stratum. After a
+    stratum that dropped literals, a compiled query per dropped
+    [not a] looks for a rule instance that fires with [a] true; when
+    none does, the stratum's result is its total well-founded model
+    (DESIGN.md §9). When one does, {!Wellfounded.alternate} continues
+    the alternating fixpoint from that result over the stratum's own
+    rules, lower strata fixed. A program with an aggregate inside a
+    component runs {!Wellfounded.compute} whole. Either way the result
+    equals {!Wellfounded.compute}'s true facts, or [Undefined_atoms] is
+    raised. A well-founded result is settled ({!Database.settle}) and
+    promoted out of the minor heap: the indexes the evaluation built
+    are caught up, so the first queries over it neither replay their
+    insertion logs nor copy the model's young rows. *)
 
 val maintain :
   ?config:config ->

@@ -79,7 +79,7 @@ val init :
   (t, string) result
 (** Materialize [p] over a copy of the EDB and return the maintenance
     handle. [Error] if the program is not stratified (maintenance has
-    no well-founded fallback — use {!Engine.materialize} for those).
+    no well-founded path — use {!Engine.materialize} for those).
 
     [prune] is the same dead-rule hook as {!Engine.config.prune} and
     must only drop rules that derive nothing over the given base. It

@@ -239,11 +239,11 @@ let ground_signature pattern =
   in
   go 0 [] pattern
 
-let select_packed r ~pattern =
-  match ground_signature pattern with
-  | None -> []
-  | Some [] -> fold_packed (fun p acc -> p :: acc) r []
-  | Some sig_ ->
+(* The rows that can match a pattern with ground positions [sig_]. *)
+let select_packed r sig_ =
+  match sig_ with
+  | [] -> fold_packed (fun p acc -> p :: acc) r []
+  | _ ->
     let positions = Array.of_list (List.map fst sig_) in
     let key = Array.of_list (List.map snd sig_) in
     (* Prefer the exact-signature index (maximal selectivity: one probe
@@ -285,10 +285,17 @@ let select_packed r ~pattern =
     | None -> [])
 
 let select r ~pattern =
-  select_packed r ~pattern
-  |> List.filter_map (fun p ->
-         let tup = Packed.to_list p in
-         if matches_pattern pattern tup then Some tup else None)
+  match ground_signature pattern with
+  | None -> []
+  | Some sig_ when List.compare_lengths sig_ pattern = 0 ->
+    (* every column ground: a row-set membership test, as a compiled
+       scan makes it, so no index keys every column *)
+    if mem_ids r (Array.of_list (List.map snd sig_)) then [ pattern ] else []
+  | Some sig_ ->
+    select_packed r sig_
+    |> List.filter_map (fun p ->
+           let tup = Packed.to_list p in
+           if matches_pattern pattern tup then Some tup else None)
 
 let copy r =
   {

@@ -100,7 +100,9 @@ val settle : t -> unit
 val select : t -> pattern:Logic.Term.t list -> Tuple.t list
 (** Tuples matching the pattern (variables are wildcards, repeated
     variables must match equal components). Uses the most selective
-    applicable index when the pattern has ground components. *)
+    applicable index when the pattern has ground components; a pattern
+    with every component ground is a row-set lookup ({!mem_ids}) that
+    builds no index. *)
 
 val copy : t -> t
 (** Snapshot: rows and all built indexes are cloned, so lookups after a

@@ -5,48 +5,55 @@ type model = {
   skolems_suppressed : int;
 }
 
-(* Γ(I): least model of the program with negative/aggregate literals
-   evaluated against the fixed interpretation I. Monotone decreasing in
-   I, so Γ∘Γ is monotone increasing and the even iterates converge to
-   the set of well-founded-true facts while the odd iterates converge to
-   the non-false facts. Returns the model with the number of skolem
-   heads its fixpoint suppressed. *)
-let gamma ?stats ?compiled ?max_term_depth ?max_rounds rules edb i =
-  let db = Database.copy edb in
+(* Γ(I): least model of the program over [base] with negative/aggregate
+   literals evaluated against the fixed interpretation I. Monotone
+   decreasing in I, so Γ∘Γ is monotone increasing and the even iterates
+   converge to the set of well-founded-true facts while the odd iterates
+   converge to the non-false facts. Returns the model with the number
+   of skolem heads its fixpoint suppressed. *)
+let gamma ?stats ?compiled ?max_term_depth ?max_rounds rules base i =
+  let db = Database.copy base in
   let o =
     Seminaive.run ?stats ?compiled ?max_term_depth ?max_rounds ~neg:i rules db
   in
   (db, o.Seminaive.skolems_suppressed)
 
-let compute ?stats ?compiled ?max_term_depth ?max_rounds p edb =
-  let rules = Program.rules p in
+(* The sequence A_{j+1} = Γ(A_j) from an A_0 below the true facts and
+   below A_2 (the base facts, say: every Γ result holds them), so the
+   even iterates rise and the odd ones fall. The sequence has settled at
+   the first j with A_{j+1} = A_j (a fixpoint of Γ: the model is total)
+   or A_{j+1} = A_{j-1} (both subsequences are stationary). Only
+   iterates Γ built are compared: A_0 is not one of them when [first]
+   comes from a stratum's relaxation. The true facts are the even
+   limit, reported with the suppression count of the Γ that built it
+   from the odd one. *)
+let alternate ?stats ?compiled ?max_term_depth ?max_rounds rules ~base first =
   let alternations = ref 0 in
   let step i =
     incr alternations;
-    gamma ?stats ?compiled ?max_term_depth ?max_rounds rules edb i
+    gamma ?stats ?compiled ?max_term_depth ?max_rounds rules base i
   in
-  (* A_0 = ∅ (so Γ(A_0) is the maximal candidate). The under-estimates
-     carry the suppression count of the Γ that built them, so the final
-     [true_facts] reports its own. *)
-  let rec iterate under over =
-    (* invariant: under ⊆ true facts ⊆ over *)
-    let ((under', _) as u') = step over in
-    let over', _ = step under' in
-    if Database.equal under under' && Database.equal over over' then
-      (u', over')
-    else iterate under' over'
+  let settle (under, skolems_suppressed) ~undefined =
+    { true_facts = under; undefined; alternations = !alternations;
+      skolems_suppressed }
   in
-  let empty = Database.create () in
-  let over0, _ = step empty in
-  let ((under0, _) as u0) = step over0 in
-  let (under, skolems_suppressed), over =
-    if Database.equal under0 over0 then (u0, over0) else iterate under0 over0
+  (* [cur] is A_j, [prev] is A_{j-1} from j = 2 on *)
+  let rec go prev ((cur, _) as c) j =
+    let ((next, _) as n) = step cur in
+    if Database.equal next cur then settle n ~undefined:(Database.create ())
+    else if Option.fold ~none:false ~some:(Database.equal next) prev then
+      let under, over = if j mod 2 = 1 then (n, cur) else (c, next) in
+      settle under ~undefined:(Database.diff over (fst under))
+    else go (Some cur) n (j + 1)
   in
-  {
-    true_facts = under;
-    undefined = Database.diff over under;
-    alternations = !alternations;
-    skolems_suppressed;
-  }
+  go None first 1
+
+let compute ?stats ?compiled ?max_term_depth ?max_rounds p edb =
+  let rules = Program.rules p in
+  let first = gamma ?stats ?compiled ?max_term_depth ?max_rounds rules edb edb in
+  let m =
+    alternate ?stats ?compiled ?max_term_depth ?max_rounds rules ~base:edb first
+  in
+  { m with alternations = m.alternations + 1 }
 
 let is_total m = Database.cardinal m.undefined = 0

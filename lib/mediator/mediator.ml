@@ -64,7 +64,7 @@ type t = {
   mutable cache : Datalog.Database.t option;
   mutable maint : Datalog.Maintain.t option;
       (* incremental-maintenance handle over [cache]; [None] when the
-         materialization came through the well-founded fallback *)
+         program is unstratified (its well-founded model) *)
   mutable last_maintenance : Datalog.Maintain.report option;
   qcache : (string, cache_entry) Hashtbl.t;
   mutable cstats : cache_stats;
@@ -163,7 +163,7 @@ let anchor_rule ~cm_class ~concept =
 
 (* Absorb freshly added molecule rules into a live materialization by
    growing the maintenance handle; anything that prevents that (nothing
-   materialized, well-founded fallback, compile failure, lost
+   materialized, an unstratified program, compile failure, lost
    stratification) degrades to a full invalidation. *)
 let absorb_rules t mol_rules =
   match t.cache, t.maint with
@@ -654,9 +654,9 @@ let materialize t =
           Datalog.Maintain.db h
         | Error _ ->
           (* unstratified (default inheritance, or domain-map axioms in
-             assertion mode, entangle negation with recursion):
-             well-founded fallback over the program compiled above, no
-             incremental handle *)
+             assertion mode, entangle negation with recursion): the
+             well-founded model of the program compiled above, certified
+             from its stratified relaxation, no incremental handle *)
           t.maint <- None;
           Datalog.Engine.materialize
             ~config:{ Datalog.Engine.default_config with prune }
@@ -665,10 +665,9 @@ let materialize t =
     in
     t.cstats <- { t.cstats with rebuilt = t.cstats.rebuilt + 1 };
     t.cache <- Some db;
-    (* auto-checkpoint a fresh maintained materialization; the
-       well-founded fallback is not checkpointed (snapshots encode
-       two-valued databases, and there is no maintenance handle to
-       replay a WAL through) *)
+    (* auto-checkpoint a fresh maintained materialization; a
+       well-founded model is not checkpointed (there is no maintenance
+       handle to replay a WAL through) *)
     (match (effective_durability t, t.maint) with
     | Some d, Some h -> ignore (write_checkpoint t d h)
     | _ -> ());
@@ -901,9 +900,9 @@ let checkpoint t =
     match t.maint with
     | None ->
       Error
-        "Mediator.checkpoint: the materialization came through the \
-         well-founded fallback (snapshots encode two-valued databases \
-         only)"
+        "Mediator.checkpoint: the federation is unstratified (its \
+         well-founded model has no maintenance handle to replay a log \
+         through)"
     | Some h -> Ok (write_checkpoint t d h))
 
 let restore_federation t (st : Durable.state) =

@@ -53,8 +53,9 @@ type config = {
           [wal_max_bytes] ({!Datalog.Store.commit}), and {!recover}
           rebuilds the live federation. [None] (the default) falls back
           to the [KIND_DURABLE_DIR] environment variable
-          ({!Datalog.Store.resolve}); unset means durability off. The
-          well-founded fallback never checkpoints. *)
+          ({!Datalog.Store.resolve}); unset means durability off. An
+          unstratified federation (the default assertion mode) is never
+          checkpointed: no maintenance handle can adopt it. *)
 }
 
 val default_config : config
@@ -183,8 +184,8 @@ val query : t -> Flogic.Molecule.lit list -> Logic.Subst.t list
 
 val query_text : t -> string -> (Logic.Subst.t list, string) result
 (** Parse and run an FL query. [Error] on a parse error, on a query
-    that is not range-restricted, and when the mediated base falls
-    back to the well-founded semantics and leaves atoms undefined
+    that is not range-restricted, and when the mediated base is
+    unstratified and its well-founded model leaves atoms undefined
     ({!Datalog.Engine.Undefined_atoms}). *)
 
 val holds : t -> Flogic.Molecule.t -> bool
@@ -284,8 +285,8 @@ val checkpoint : t -> (int, string) result
 (** Write a full checkpoint — engine snapshot, federation state, WAL
     compacted — to the configured durability store. Forces a
     materialization. Returns the snapshot size in bytes.
-    [Error] when no durability is configured or the materialization
-    came through the well-founded fallback. *)
+    [Error] when no durability is configured or the federation is
+    unstratified (its well-founded model has no maintenance handle). *)
 
 val recover : t -> (bool, string) result
 (** Rebuild the live federation from the durability store: read the

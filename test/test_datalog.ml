@@ -56,6 +56,24 @@ let test_relation_lookup_select () =
   Alcotest.(check int) "select diagonal" 1
     (List.length (Relation.select rr ~pattern:[ v "X"; v "X" ]))
 
+(* A fully ground pattern is a row-set lookup: it builds no index, so
+   the relation takes no more memory than before. *)
+let test_relation_ground_select () =
+  let r = Relation.of_list [ [ s "a"; s "b" ]; [ s "a"; s "b"; s "c" ] ] in
+  let words = Obj.reachable_words (Obj.repr r) in
+  let show pattern =
+    List.map
+      (fun tup -> String.concat "," (List.map Term.to_string tup))
+      (Relation.select r ~pattern)
+  in
+  Alcotest.(check (list string)) "present row" [ "a,b" ] (show [ s "a"; s "b" ]);
+  Alcotest.(check (list string)) "absent row" [] (show [ s "a"; s "c" ]);
+  Alcotest.(check (list string)) "absent row of the other arity" []
+    (show [ s "a"; s "b"; s "b" ]);
+  Alcotest.(check (list string)) "no row of this arity" [] (show [ s "a" ]);
+  Alcotest.(check int) "no index built" words
+    (Obj.reachable_words (Obj.repr r))
+
 let test_relation_index_after_add () =
   let r = Relation.create () in
   ignore (Relation.add r [ s "a"; s "b" ]);
@@ -156,6 +174,38 @@ let test_stratify_aggregate_edge () =
   let p = Program.make_exn rules in
   Alcotest.(check bool) "aggregate self-loop unstratified" false
     (Stratify.is_stratified p)
+
+(* One Tarjan pass gives both verdicts: the nonmonotonic edges inside a
+   component, and the strata with those edges ignored (the relaxation
+   of an unstratified program). *)
+let test_stratify_layers () =
+  let rules =
+    [
+      rule (atom "p" [ v "X" ]) [ Literal.pos "u" [ v "X" ]; Literal.neg "q" [ v "X" ] ];
+      rule (atom "q" [ v "X" ]) [ Literal.pos "u" [ v "X" ]; Literal.neg "p" [ v "X" ] ];
+      rule (atom "t" [ v "X" ]) [ Literal.pos "u" [ v "X" ]; Literal.neg "p" [ v "X" ] ];
+    ]
+  in
+  let p = Program.make_exn rules in
+  let l = Stratify.layers p in
+  Alcotest.(check (list (list string))) "relaxation strata"
+    [ [ "p"; "q"; "u" ]; [ "t" ] ]
+    l.Stratify.strata;
+  Alcotest.(check (list int)) "rules by stratum" [ 2; 1 ]
+    (List.map List.length l.Stratify.rules);
+  Alcotest.(check (list (pair string string))) "cyclic edges"
+    [ ("p", "q"); ("q", "p") ]
+    (List.map
+       (fun (e : Stratify.edge) -> (e.Stratify.from_pred, e.Stratify.to_pred))
+       l.Stratify.cyclic);
+  Alcotest.(check bool) "p and q share a component" true
+    (l.Stratify.scc "p" = l.Stratify.scc "q");
+  Alcotest.(check bool) "t sits above them" true
+    (l.Stratify.scc "t" > l.Stratify.scc "p");
+  match Stratify.stratify p with
+  | Stratify.Unstratified preds ->
+    Alcotest.(check (list string)) "the cyclic component" [ "p"; "q" ] preds
+  | Stratify.Stratified _ -> Alcotest.fail "p and q negate each other"
 
 (* -------------------------------------------------------------------- *)
 (* Materialization: closure, negation, aggregates *)
@@ -394,6 +444,54 @@ let test_engine_unstratified_guard () =
   | exception Engine.Undefined_atoms n -> Alcotest.failf "expected 2 undefined, got %d" n
   | _ -> Alcotest.fail "expected Undefined_atoms"
 
+(* A stratum's own loaded facts take part in its continuation: p(a)
+   blocks q, so p(b) holds. The relaxation derives q as well, its check
+   fires, and Γ of the relaxation derives nothing beyond the loaded
+   p(a) — which the alternation must not mistake for its start. *)
+let test_engine_loaded_facts_in_stratum () =
+  let rules =
+    [
+      fact "p" [ s "a" ];
+      rule (atom "p" [ s "b" ]) [ Literal.neg "q" [] ];
+      rule (atom "q" []) [ Literal.neg "p" [ s "a" ] ];
+    ]
+  in
+  let p = Program.make_exn rules in
+  let wf = Wellfounded.compute p (Database.create ()) in
+  Alcotest.(check bool) "well-founded model total" true (Wellfounded.is_total wf);
+  match Engine.materialize p (Database.create ()) with
+  | db ->
+    Alcotest.(check (list string)) "p(a), p(b)" [ "a"; "b" ] (sorted_answers db "p" 1);
+    Alcotest.(check bool) "== Wellfounded.compute" true
+      (Database.equal db wf.Wellfounded.true_facts)
+  | exception Engine.Undefined_atoms n ->
+    Alcotest.failf "%d atoms reported undefined in a total model" n
+
+(* The alternation settles at the first A_{j+1} = A_j or
+   A_{j+1} = A_{j-1}: three Γ applications for each of these programs,
+   whose first alternation settles them. *)
+let test_wellfounded_alternations () =
+  let move a b = fact "move" [ s a; s b ] in
+  let win =
+    rule (atom "win" [ v "X" ])
+      [ Literal.pos "move" [ v "X"; v "Y" ]; Literal.neg "win" [ v "Y" ] ]
+  in
+  let count rules =
+    (Wellfounded.compute (Program.make_exn rules) (Database.create ()))
+      .Wellfounded.alternations
+  in
+  Alcotest.(check int) "win over a->b->c" 3
+    (count [ move "a" "b"; move "b" "c"; win ]);
+  Alcotest.(check int) "draw a<->b" 3 (count [ move "a" "b"; move "b" "a"; win ]);
+  Alcotest.(check int) "p(X) :- q(X), not p(X). q(a)." 3
+    (count
+       [
+         rule (atom "p" [ v "X" ]) [ Literal.pos "q" [ v "X" ]; Literal.neg "p" [ v "X" ] ];
+         fact "q" [ s "a" ];
+       ]);
+  Alcotest.(check int) "Neuro scale 20 plus one has witness" 3
+    (Lazy.force Neuro_fixture.with_witness_wf).Wellfounded.alternations
+
 (* -------------------------------------------------------------------- *)
 (* Query API *)
 
@@ -600,6 +698,7 @@ let suites =
       [
         Alcotest.test_case "relation basics" `Quick test_relation_basics;
         Alcotest.test_case "lookup/select" `Quick test_relation_lookup_select;
+        Alcotest.test_case "ground select" `Quick test_relation_ground_select;
         Alcotest.test_case "incremental index" `Quick test_relation_index_after_add;
         Alcotest.test_case "lookup after copy" `Quick test_relation_copy_lookup;
         Alcotest.test_case "database" `Quick test_database;
@@ -610,6 +709,7 @@ let suites =
         Alcotest.test_case "negation strata" `Quick test_stratify_negation;
         Alcotest.test_case "cycle detected" `Quick test_stratify_cycle_detected;
         Alcotest.test_case "aggregate edge" `Quick test_stratify_aggregate_edge;
+        Alcotest.test_case "layers" `Quick test_stratify_layers;
       ] );
     ( "datalog.materialize",
       [
@@ -629,6 +729,9 @@ let suites =
         Alcotest.test_case "undefined 2-cycle" `Quick test_wellfounded_undefined_cycle;
         Alcotest.test_case "agrees with stratified" `Quick test_wellfounded_agrees_with_stratified;
         Alcotest.test_case "engine guard" `Quick test_engine_unstratified_guard;
+        Alcotest.test_case "alternation counts" `Quick test_wellfounded_alternations;
+        Alcotest.test_case "loaded facts in a stratum" `Quick
+          test_engine_loaded_facts_in_stratum;
       ] );
     ( "datalog.query",
       [

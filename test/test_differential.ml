@@ -22,6 +22,12 @@
    handle must track the compiled one, and programs without aggregates
    must never fall back to rebuilding a stratum.
 
+   Unstratified programs (negation through recursion) are checked
+   against the alternating fixpoint: Engine.materialize, which certifies
+   a program's stratified relaxation or continues the alternation where
+   the certificate fails, must give Wellfounded.compute's true facts, or
+   raise Undefined_atoms with its count, on every strategy.
+
    Queries are checked against the interpreter too: every rule body,
    plus one random extra literal, asked of the materialized model
    through Engine.query (the compiled kernel) and Eval.solve_body must
@@ -63,10 +69,14 @@ let ground_atom st (name, arity) =
 (* Rules for [p_i] may read EDB predicates and [p_0..p_i] positively
    (so same-layer recursion happens) and EDB predicates and strictly
    lower [p_j] under negation or aggregation — stratified by
-   construction. Safety by construction too: head and negated-literal
-   variables are drawn from the variables of the positive body
-   literals (plus an aggregate's result variable). *)
-let gen_rules st =
+   construction. With [cyclic], positive and negated literals may read
+   every [p_j], so negation runs through recursion, and there are no
+   aggregates: through recursion, the alternating fixpoint need not
+   settle on them (the unstratified cases add one that does). Safety by
+   construction too: head and negated-literal variables are drawn from
+   the variables of the positive body literals (plus an aggregate's
+   result variable). *)
+let gen_rules ?(cyclic = false) st =
   let var_pool = [ "A"; "B"; "C"; "D" ] in
   let nidb = 4 + Random.State.int st 3 in
   let idb =
@@ -74,8 +84,9 @@ let gen_rules st =
         (Printf.sprintf "p%d" i, 1 + Random.State.int st 2))
   in
   let rule_for i (h, ha) =
-    let pos_pool = edb_preds @ List.filteri (fun j _ -> j <= i) idb in
-    let neg_pool = edb_preds @ List.filteri (fun j _ -> j < i) idb in
+    let below k = if cyclic then idb else List.filteri (fun j _ -> j < i + k) idb in
+    let pos_pool = edb_preds @ below 1 in
+    let neg_pool = edb_preds @ below 0 in
     let positives =
       List.init
         (1 + Random.State.int st 2)
@@ -92,7 +103,7 @@ let gen_rules st =
        N per group value, an ungrouped one a single total. Aggregates
        also exercise the compiled path's non-streaming plan shape. *)
     let aggregates =
-      if Random.State.int st 100 < 25 then
+      if (not cyclic) && Random.State.int st 100 < 25 then
         let name, ar = pick st neg_pool in
         let grouped = ar >= 2 && Random.State.int st 2 = 0 in
         let args =
@@ -462,8 +473,121 @@ let differential () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Regression: the well-founded fallback must fill the engine report
-   (counters shared with the stratified path went missing once). *)
+(* Unstratified programs. Engine.materialize certifies the stratified
+   relaxation, or continues the alternating fixpoint of a stratum whose
+   certificate fails, and must agree with Wellfounded.compute on every
+   strategy: the same true facts when the model is total,
+   [Undefined_atoms] with the model's count when it is not. Each case
+   adds one shape the certificate must get right to random rules whose
+   negations may run through recursion. *)
+
+let shape st =
+  let v = Term.var and x = Term.var "X" and y = Term.var "Y" in
+  let k () = const st in
+  let pos = Literal.pos and neg = Literal.neg and rule = Rule.make in
+  match Random.State.int st 4 with
+  | (0 | 1) as which ->
+    (* a guarded existential, as an assertion-mode domain-map edge
+       compiles: the placeholder gh(X, f(X)) unless X has a witness.
+       Placeholders either never witness, witness (undefined atoms), or
+       witness behind a guard that rejects them. *)
+    let self = Random.State.int st 3 in
+    let guard =
+      if self = 2 then
+        [ pos (Literal.builtin_prefix ^ "not_functor_prefix") [ y; Term.str "f" ] ]
+      else []
+    in
+    [
+      rule (Atom.make "gh" [ x; Term.app "f" [ x ] ]) [ pos "gb" [ x ]; neg "gs" [ x ] ];
+      rule (Atom.make "gr" [ x; y ]) [ pos "gh" [ x; y ] ];
+      rule (Atom.make "gs" [ x ]) ([ pos "gr" [ x; y ]; pos "gd" [ y ] ] @ guard);
+      rule (Atom.make "gb" [ x ]) [ pos "e2" [ x ] ];
+    ]
+    @ (if self > 0 then [ rule (Atom.make "gd" [ y ]) [ pos "gh" [ x; y ] ] ] else [])
+    (* real witnesses, sometimes none *)
+    @ List.concat
+        (List.init (Random.State.int st 3) (fun _ ->
+             let a = k () and b = k () in
+             [ Rule.fact (Atom.make "gr" [ a; b ]); Rule.fact (Atom.make "gd" [ b ]) ]))
+    (* a stratified negation reading the guarded component *)
+    @
+    if which = 1 then
+      [
+        rule (Atom.make "gt" [ x ]) [ pos "gb" [ x ]; neg "gs" [ x ] ];
+        rule (Atom.make "gu" [ x ]) [ pos "gh" [ x; y ]; neg "gt" [ x ] ];
+      ]
+    else []
+  | 2 ->
+    (* p :- not q. q :- not p. — dropping only [not q] would certify
+       {p}. A loaded gp fact settles its instance: the check fires, and
+       Γ of the relaxation derives nothing but the loaded facts. *)
+    let loaded = Random.State.bool st in
+    if Random.State.bool st then
+      [ rule (Atom.make "gp" []) [ neg "gq" [] ]; rule (Atom.make "gq" []) [ neg "gp" [] ] ]
+      @ if loaded then [ Rule.fact (Atom.make "gp" []) ] else []
+    else
+      [
+        rule (Atom.make "gp" [ x ]) [ pos "e2" [ x ]; neg "gq" [ x ] ];
+        rule (Atom.make "gq" [ x ])
+          [ pos "e2" [ x ]; neg "gp" [ x ]; Literal.cmp Literal.Ne x (k ()) ];
+      ]
+      @ if loaded then [ Rule.fact (Atom.make "gp" [ k () ]) ] else []
+  | _ ->
+    (* an aggregate inside a component: the whole program alternates.
+       The count reads gp, whose extent no negation changes, so the
+       alternation settles. *)
+    [
+      rule (Atom.make "gp" [ x ]) [ pos "e2" [ x ] ];
+      rule (Atom.make "gp" [ x ]) [ pos "gq" [ x ] ];
+      rule (Atom.make "gq" [ x ]) [ pos "gp" [ x ]; neg "gr" [ x ] ];
+      rule (Atom.make "gr" [ x ])
+        [
+          pos "e2" [ x ];
+          Literal.count ~target:y ~group_by:[] ~result:(v "N") [ Atom.make "gp" [ y ] ];
+          Literal.cmp Literal.Gt (v "N") (Term.int (Random.State.int st 8));
+        ];
+    ]
+
+let run_unstratified_case seed =
+  let st = Random.State.make [| seed; 2 |] in
+  let rules, _ = gen_rules ~cyclic:true st in
+  let p = Program.make_exn (rules @ shape st) in
+  let edb = Database.of_facts (gen_edb st) in
+  let outcome = function
+    | Ok db -> facts_str db
+    | Error n -> [ Printf.sprintf "Undefined_atoms %d" n ]
+  in
+  let wf = Datalog.Wellfounded.compute p edb in
+  let expected =
+    outcome
+      (if Datalog.Wellfounded.is_total wf then Ok wf.Datalog.Wellfounded.true_facts
+       else Error (Database.cardinal wf.Datalog.Wellfounded.undefined))
+  in
+  List.iter
+    (fun (what, config) ->
+      let got =
+        match Engine.materialize ~config p edb with
+        | db -> Ok db
+        | exception Engine.Undefined_atoms n -> Error n
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d: %s == well-founded" seed what)
+        expected (outcome got))
+    [
+      ("certified", Engine.default_config);
+      ("interpreted", interpreted_config);
+      ("naive", naive_config);
+    ]
+
+let unstratified () =
+  for i = 0 to cases - 1 do
+    run_unstratified_case ((base_seed * 10_000) + i)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Regression: an unstratified program must fill the engine report
+   (counters shared with the stratified path went missing once). Here
+   the relaxation's check fires, so the stratum alternates. *)
 
 let wf_report () =
   let v = Term.var and s = Term.sym in
@@ -491,8 +615,8 @@ let wf_report () =
     (!rep.Engine.tuples_scanned > 0);
   Alcotest.(check bool) "derived counted" true (!rep.Engine.derived >= 1);
   Alcotest.(check bool) "rounds counted" true (!rep.Engine.rounds > 0);
-  (* the alternating-fixpoint fallback also runs compiled plans, so it
-     too must be a pure optimization *)
+  (* the unstratified path also runs compiled plans, so it too must be
+     a pure optimization *)
   check_same "wf: compiled == interpreted"
     (Engine.materialize ~config:interpreted_config p edb)
     db;
@@ -565,6 +689,11 @@ let suites =
           (Printf.sprintf "%d random stratified programs agree across engines"
              cases)
           `Quick differential;
+        Alcotest.test_case
+          (Printf.sprintf
+             "%d random unstratified programs: materialize == well-founded"
+             cases)
+          `Quick unstratified;
         Alcotest.test_case "well-founded fallback fills the report" `Quick
           wf_report;
         Alcotest.test_case "compiled kernel fills the plan counters" `Quick

@@ -543,6 +543,49 @@ let test_incremental_updates () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown source accepted"
 
+(* The default federation is unstratified: every domain-map edge runs
+   as an assertion guarded by [not dl_sat_k(X)]. Its relaxation
+   certifies itself, with no Γ applied, and equals the alternating
+   fixpoint's model. One real has witness for a neuron makes that guard
+   fire: the stratum continues from its relaxation, which is the first
+   Γ of the alternation, so it applies two Γ where the alternating
+   fixpoint from scratch applies three, and the witness turns the
+   neuron's placeholder compartment off. *)
+let test_certified_model () =
+  let module D = Datalog.Database in
+  let module W = Datalog.Wellfounded in
+  let check name p wf ~facts ~alternations =
+    let m = Lazy.force wf in
+    let rep = ref Datalog.Engine.empty_report in
+    let db =
+      Datalog.Engine.materialize ~report:rep (Lazy.force p) (D.create ())
+    in
+    Alcotest.(check bool) (name ^ ": total") true (W.is_total m);
+    Alcotest.(check int) (name ^ ": facts") facts (D.cardinal db);
+    Alcotest.(check bool) (name ^ ": the well-founded model") true
+      (D.equal db m.W.true_facts);
+    Alcotest.(check bool) (name ^ ": unstratified") false
+      !rep.Datalog.Engine.stratified;
+    Alcotest.(check int) (name ^ ": alternations") alternations
+      !rep.Datalog.Engine.alternations;
+    db
+  in
+  ignore
+    (check "default federation" Neuro_fixture.program Neuro_fixture.program_wf
+       ~facts:16121 ~alternations:0);
+  let db =
+    check "firing guard" Neuro_fixture.with_witness
+      Neuro_fixture.with_witness_wf ~facts:16127
+      ~alternations:
+        ((Lazy.force Neuro_fixture.with_witness_wf).W.alternations - 1)
+  in
+  Alcotest.(check (list string)) "the witness is the neuron's only part"
+    [ Logic.Term.to_string Neuro_fixture.witness_compartment ]
+    (List.map
+       (fun tup -> Logic.Term.to_string (List.nth tup 1))
+       (Datalog.Engine.answers db
+          (Logic.Atom.make "has" [ Neuro_fixture.witness_neuron; v "Y" ])))
+
 (* Result-cache keys are printed terms: two bounds that differ past the
    sixth significant digit must not share a cached answer. *)
 let test_cache_keys_exact_floats () =
@@ -605,6 +648,8 @@ let suites =
         Alcotest.test_case "register via XML" `Quick test_register_via_xml;
         Alcotest.test_case "consistency" `Quick test_consistency_check;
         Alcotest.test_case "incremental updates" `Quick test_incremental_updates;
+        Alcotest.test_case "certified default federation" `Quick
+          test_certified_model;
         Alcotest.test_case "cache keys keep float digits" `Quick
           test_cache_keys_exact_floats;
       ] );
