@@ -55,7 +55,8 @@ let pp_answers lits answers =
 
 (* Materialize the program and hand the model to [k]. A materialized
    database holds only true facts: a model that leaves atoms undefined
-   is reported, exit 1. *)
+   is reported, exit 1, and so is an evaluation that runs out of
+   rounds or whose alternating fixpoint cannot settle. *)
 let with_model t k =
   match Flogic.Fl_program.run t with
   | exception Datalog.Engine.Undefined_atoms n ->
@@ -64,6 +65,9 @@ let with_model t k =
        semantics\n"
       n
       (if n = 1 then "" else "s");
+    1
+  | exception Datalog.Eval.Diverged msg ->
+    Printf.eprintf "evaluation stopped: %s\n" msg;
     1
   | db -> k db
 
@@ -638,15 +642,11 @@ let cost_cmd =
           (fun ((rule : Logic.Rule.t), (c : Card.rule_cost)) ->
             Printf.sprintf
               "{\"rule\":%s,\"order\":[%s],\"est\":%s,\"cost\":%s,\
-               \"greedy_cost\":%s,\"cross_products\":%d,\
-               \"recursive\":%b,\"growing\":%b}"
+               \"cross_products\":%d,\"recursive\":%b,\"growing\":%b}"
               (json_str (Logic.Rule.to_string rule))
               (String.concat "," (List.map string_of_int c.Card.order))
               (iv_json c.Card.est)
               (match c.Card.cost with
-              | None -> "null"
-              | Some n -> string_of_int n)
-              (match c.Card.greedy_cost with
               | None -> "null"
               | Some n -> string_of_int n)
               c.Card.cross_products c.Card.recursive c.Card.growing)
@@ -664,18 +664,16 @@ let cost_cmd =
       List.iter
         (fun (p, iv) -> Format.printf "    %-28s %a@." p Card.pp_interval iv)
         r.C.intervals;
-      if r.C.costs <> [] then Format.printf "  per-rule cost-model orders:@.";
+      if r.C.costs <> [] then Format.printf "  per-rule join orders:@.";
       List.iter
         (fun ((rule : Logic.Rule.t), (c : Card.rule_cost)) ->
           Format.printf "    %s@." (Logic.Rule.to_string rule);
           Format.printf "      order [%s]  est %a%s%s%s@."
             (String.concat " " (List.map string_of_int c.Card.order))
             Card.pp_interval c.Card.est
-            (match (c.Card.cost, c.Card.greedy_cost) with
-            | Some o, Some g when o <> g ->
-              Printf.sprintf "  cost %d (greedy %d)" o g
-            | Some o, _ -> Printf.sprintf "  cost %d" o
-            | None, _ -> "")
+            (match c.Card.cost with
+            | Some o -> Printf.sprintf "  cost %d" o
+            | None -> "")
             (if c.Card.cross_products > 0 then "  [cross-product]" else "")
             (if c.Card.growing then "  [unbounded growth]" else ""))
         r.C.costs;

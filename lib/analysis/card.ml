@@ -2,16 +2,17 @@ module Term = Logic.Term
 module Atom = Logic.Atom
 module Literal = Logic.Literal
 module Rule = Logic.Rule
-module SS = Set.Make (String)
+module SS = Literal.Vars
 
 (* Cardinality/cost abstract interpretation over the predicate
    dependency graph: every predicate gets an interval [lo, hi] bounding
    its fixpoint extent, a per-column bound on the number of distinct
-   values, and single-column key flags. The same per-rule walk that
-   produces the sound size bound also runs a System-R-style selectivity
-   heuristic, which orders literals for the cost report and the
-   cross-product lint — the bound must be sound, the order only has to
-   be good. *)
+   values, and single-column key flags. The per-rule walk that produces
+   the sound size bound follows the literal order the engine runs
+   ({!Logic.Rule.order}) and prices it with a System-R-style
+   selectivity heuristic for the cost report and the cross-product
+   lint — the bound must be sound, the cost only has to be a good
+   guess. *)
 
 (* ------------------------------------------------------------------ *)
 (* Saturating interval arithmetic. [None] is "unbounded": the honest
@@ -235,70 +236,19 @@ let seeds ?edb ?(assume_nonempty = fun _ -> false) ?(seed = fun _ -> None) rules
     else facts
 
 (* ------------------------------------------------------------------ *)
-(* The per-rule walk: pick a literal order (greedy by estimated rows,
-   or a forced order), thread a sound row bound and a heuristic cost
-   through it, and record cross-product steps. *)
+(* The per-rule walk: follow the engine's literal order, threading a
+   sound row bound and a heuristic cost through it, and record
+   cross-product steps. *)
 
 type rule_cost = {
-  order : int list;  (** chosen body order, as literal indices *)
+  order : int list;  (** the engine's body order, as literal indices *)
   est : interval;  (** sound bound on tuples the rule derives *)
   cost : int option;  (** heuristic work units for [order] *)
-  greedy_cost : int option;  (** same model on the syntactic greedy order *)
   cross_products : int;  (** join steps sharing no bound variable *)
   inputs_hi : int option;  (** Σ hi over positive body predicates *)
   recursive : bool;
   growing : bool;  (** recursive and synthesising fresh values *)
 }
-
-exception Stuck
-
-let lit_evaluable bound lit =
-  match lit with
-  | Literal.Cmp (Literal.Eq, t1, t2) ->
-    List.for_all (fun x -> SS.mem x bound) (Term.vars t1)
-    || List.for_all (fun x -> SS.mem x bound) (Term.vars t2)
-  | l -> List.for_all (fun x -> SS.mem x bound) (Literal.needs l)
-
-(* mirror of [Plan.compile]'s scoring, to cost the order the engine
-   would pick on its own *)
-let syntactic_order (r : Rule.t) =
-  let lits = Array.of_list r.Rule.body in
-  let n = Array.length lits in
-  let used = Array.make n false in
-  let order = ref [] in
-  let bound = ref SS.empty in
-  (try
-     for _ = 1 to n do
-       let score i =
-         match lits.(i) with
-         | Literal.Pos a ->
-           let vs = Atom.vars a in
-           let boundness =
-             List.length (List.filter (fun x -> SS.mem x !bound) vs)
-           in
-           100 + boundness
-         | Literal.Neg _ | Literal.Cmp _ | Literal.Assign _ -> 500
-         | Literal.Agg _ -> 10
-       in
-       let best = ref (-1) in
-       for i = 0 to n - 1 do
-         if
-           (not used.(i))
-           && lit_evaluable !bound lits.(i)
-           && (!best = -1 || score i > score !best)
-         then best := i
-       done;
-       if !best = -1 then raise Stuck;
-       used.(!best) <- true;
-       order := !best :: !order;
-       bound :=
-         List.fold_left
-           (fun acc x -> SS.add x acc)
-           !bound
-           (Literal.binds lits.(!best))
-     done;
-     Some (List.rev !order)
-   with Stuck -> None)
 
 type walk = {
   w_order : int list;
@@ -309,10 +259,8 @@ type walk = {
   w_head_keys : bool array;
 }
 
-let walk env (r : Rule.t) ~forced_order =
+let walk_order env (r : Rule.t) order =
   let lits = Array.of_list r.Rule.body in
-  let n = Array.length lits in
-  let used = Array.make n false in
   let bound = ref SS.empty in
   let dvar : (string, int option) Hashtbl.t = Hashtbl.create 8 in
   let note_var x d =
@@ -327,51 +275,44 @@ let walk env (r : Rule.t) ~forced_order =
   let scanned_positive = ref false in
   let add_cost c = cost := sat_add !cost c in
   let info p : pinfo = env p in
-  (* heuristic matches for a probe of [a] under the current bindings *)
-  let probe_estimate (a : Atom.t) =
-    let pi = info a.Atom.pred in
-    let hi = pi.card.hi in
-    let bound_positions =
-      List.mapi (fun j t -> (j, t)) a.Atom.args
-      |> List.filter (fun (_, t) ->
-             List.for_all (fun x -> SS.mem x !bound) (Term.vars t))
-      |> List.map fst
-    in
-    let full = List.length bound_positions = List.length a.Atom.args in
-    let key_hit =
-      List.exists
-        (fun j -> j < Array.length pi.keys && pi.keys.(j))
-        bound_positions
-    in
-    let sel =
-      List.fold_left
-        (fun s j ->
-          let d =
-            if j < Array.length pi.cols then
-              match pi.cols.(j) with Some d -> d | None -> 1
-            else 1
-          in
-          sat_mul s (Some (max 1 d)))
-        (Some 1) bound_positions
-    in
-    let matches_h =
-      if full || key_hit then Some 1
-      else if bound_positions = [] then hi
-      else
-        match (hi, sel) with
-        | Some h, Some s -> Some (max 1 (h / max 1 s))
-        | _ -> hi
-    in
-    (pi, hi, bound_positions, full, key_hit, matches_h)
-  in
   let apply i =
-    used.(i) <- true;
     let lit = lits.(i) in
     (match lit with
     | Literal.Pos a when Literal.is_builtin a.Atom.pred -> add_cost !rows_cost
     | Literal.Pos a ->
-      let pi, hi, bound_positions, full, key_hit, matches_h =
-        probe_estimate a
+      let pi = info a.Atom.pred in
+      let hi = pi.card.hi in
+      let bound_positions =
+        List.mapi (fun j t -> (j, t)) a.Atom.args
+        |> List.filter (fun (_, t) ->
+               List.for_all (fun x -> SS.mem x !bound) (Term.vars t))
+        |> List.map fst
+      in
+      let full = List.length bound_positions = List.length a.Atom.args in
+      let key_hit =
+        List.exists
+          (fun j -> j < Array.length pi.keys && pi.keys.(j))
+          bound_positions
+      in
+      let sel =
+        List.fold_left
+          (fun s j ->
+            let d =
+              if j < Array.length pi.cols then
+                match pi.cols.(j) with Some d -> d | None -> 1
+              else 1
+            in
+            sat_mul s (Some (max 1 d)))
+          (Some 1) bound_positions
+      in
+      (* heuristic matches for one probe under the current bindings *)
+      let matches_h =
+        if full || key_hit then Some 1
+        else if bound_positions = [] then hi
+        else
+          match (hi, sel) with
+          | Some h, Some s -> Some (max 1 (h / max 1 s))
+          | _ -> hi
       in
       let sound_factor = if full || key_hit then Some 1 else hi in
       if
@@ -422,64 +363,9 @@ let walk env (r : Rule.t) ~forced_order =
       List.iter
         (fun x -> if not (SS.mem x !bound) then note_var x groups)
         (Literal.vars lit));
-    bound :=
-      List.fold_left (fun acc x -> SS.add x acc) !bound (Literal.binds lit)
+    bound := Literal.bind ~bound:!bound lit
   in
-  let category i =
-    match lits.(i) with
-    | Literal.Pos a when Literal.is_builtin a.Atom.pred -> 0
-    | Literal.Neg _ | Literal.Cmp _ | Literal.Assign _ -> 0
-    | Literal.Pos _ -> 1
-    | Literal.Agg _ -> 2
-  in
-  let order = ref [] in
-  let pick_greedy () =
-    let best = ref (-1) in
-    let best_key = ref (3, None, 0) in
-    for i = 0 to n - 1 do
-      if (not used.(i)) && lit_evaluable !bound lits.(i) then begin
-        let est =
-          match lits.(i) with
-          | Literal.Pos a when not (Literal.is_builtin a.Atom.pred) ->
-            let _, _, _, _, _, matches_h = probe_estimate a in
-            sat_mul !rows_cost matches_h
-          | _ -> !rows_cost
-        in
-        let key = (category i, est, i) in
-        let less (c1, e1, i1) (c2, e2, i2) =
-          c1 < c2
-          || (c1 = c2
-             &&
-             match (e1, e2) with
-             | Some a, Some b -> a < b || (a = b && i1 < i2)
-             | Some _, None -> true
-             | None, Some _ -> false
-             | None, None -> i1 < i2)
-        in
-        if !best = -1 || less key !best_key then begin
-          best := i;
-          best_key := key
-        end
-      end
-    done;
-    if !best = -1 then raise Stuck;
-    !best
-  in
-  (match forced_order with
-  | Some o ->
-    List.iter
-      (fun i ->
-        if i < 0 || i >= n || used.(i) || not (lit_evaluable !bound lits.(i))
-        then raise Stuck;
-        order := i :: !order;
-        apply i)
-      o
-  | None ->
-    for _ = 1 to n do
-      let i = pick_greedy () in
-      order := i :: !order;
-      apply i
-    done);
+  List.iter apply order;
   (* head clamp: the output also fits in the product of per-column
      distinct bounds *)
   let rec term_distinct t =
@@ -530,13 +416,16 @@ let walk env (r : Rule.t) ~forced_order =
     | _ -> Array.make (List.length r.Rule.head.Atom.args) false
   in
   {
-    w_order = List.rev !order;
+    w_order = order;
     w_est = est;
     w_cost = !cost;
     w_cross = !cross;
     w_head_cols = head_cols;
     w_head_keys = head_keys;
   }
+
+(* [None] when the body is not range-restricted *)
+let walk env (r : Rule.t) = Option.map (walk_order env r) (Rule.order r)
 
 (* ------------------------------------------------------------------ *)
 (* The fixpoint: one transfer per head predicate, recomputing the whole
@@ -594,11 +483,7 @@ let analyze ?(max_steps = 200_000) ?edb ?assume_nonempty ?seed rules =
     let walks =
       List.map
         (fun r ->
-          if rule_growing comp r then None
-          else
-            match walk env r ~forced_order:None with
-            | w -> Some w
-            | exception Stuck -> None)
+          if rule_growing comp r then None else walk env r)
         rs
     in
     let hi =
@@ -654,31 +539,18 @@ let analyze ?(max_steps = 200_000) ?edb ?assume_nonempty ?seed rules =
                  (Some 0)
                  (List.filter (fun (_, neg) -> not neg) (Rule.body_predicates r))
              in
-             let mk w greedy =
-               Some
+             Option.map
+               (fun w ->
                  {
                    order = w.w_order;
                    est = { lo = 0; hi = (if growing then None else w.w_est) };
                    cost = w.w_cost;
-                   greedy_cost = greedy;
                    cross_products = w.w_cross;
                    inputs_hi;
                    recursive;
                    growing;
-                 }
-             in
-             match walk env r ~forced_order:None with
-             | w ->
-               let greedy =
-                 match syntactic_order r with
-                 | None -> None
-                 | Some o -> (
-                   match walk env r ~forced_order:(Some o) with
-                   | wg -> wg.w_cost
-                   | exception Stuck -> None)
-               in
-               mk w greedy
-             | exception Stuck -> None)
+                 })
+               (walk env r))
          rules)
   in
   { env; rules; costs }

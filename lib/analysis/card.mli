@@ -21,16 +21,15 @@
     sound); widening snaps growing bounds to powers of two only for
     predicates on dependency cycles, so DAG programs keep exact counts.
 
-    On top of the intervals, the same per-rule walk runs a
-    selectivity-based join-cost model producing literal orderings and
-    costs — the raw material for the {!Cost_lint} diagnostics pass, the
-    mediator's [cost_budget] and [kindctl cost]. The engine's planner
-    does not read them: every plan uses {!Datalog.Plan}'s greedy
-    order. *)
-
-exception Stuck
-(** Raised internally when a body cannot be ordered (not
-    range-restricted); {!analyze} converts it to a [None] cost. *)
+    The per-rule walk follows the literal order the engine runs
+    without a focus ({!Logic.Rule.order}, the order of every non-delta
+    {!Datalog.Plan}) and prices it with a selectivity-based join-cost
+    model: its costs and cross products are the raw material for the
+    {!Cost_lint} diagnostics pass, the mediator's [cost_budget] and
+    [kindctl cost]. For a recursive rule that is the order of its first
+    semi-naive round only: later rounds run one plan per recursive
+    literal with that literal first ([Rule.order ~focus:i]), whose cross
+    products are not counted here. *)
 
 (** {1 Intervals and per-predicate info} *)
 
@@ -48,12 +47,12 @@ val huge : int
 (** {1 Per-rule cost} *)
 
 type rule_cost = {
-  order : int list;  (** chosen body order, as literal indices *)
+  order : int list;
+      (** the body order the engine runs without a focus
+          ({!Logic.Rule.order}; for a recursive rule, its first
+          semi-naive round), as literal indices *)
   est : interval;  (** sound bound on tuples the rule derives *)
   cost : int option;  (** heuristic work units for [order] *)
-  greedy_cost : int option;
-      (** the same cost model applied to the syntactic greedy order
-          {!Datalog.Plan} compiles — the order the engine runs *)
   cross_products : int;
       (** join steps scanning a positive literal that shares no bound
           variable with what came before (counted only when both sides

@@ -154,7 +154,9 @@ let split_body (r : Rule.t) =
 (* ------------------------------------------------------------------ *)
 (* Freezing *)
 
-let frozen_prefix = "\xCF\x87_" (* χ_ — same reserved namespace as Cq *)
+(* χ_: a reserved namespace that no user symbol uses, so a frozen
+   variable never collides with a constant of the queries *)
+let frozen_prefix = "\xCF\x87_"
 
 let frozen v = Term.sym (frozen_prefix ^ v)
 

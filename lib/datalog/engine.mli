@@ -7,7 +7,7 @@
     for ("the mediator needs only a single GCM engine", Section 2). It
     evaluates exactly the program it is handed (less any rules the
     [prune] hook proves dead), with every plan in the greedy literal
-    order of {!Plan}. Queries ({!query}) run on the same compiled
+    order of {!Logic.Rule.order}. Queries ({!query}) run on the same compiled
     kernel. *)
 
 type strategy = Naive | Seminaive
@@ -138,7 +138,8 @@ val materialize :
     rules, lower strata fixed. A program with an aggregate inside a
     component runs {!Wellfounded.compute} whole. Either way the result
     equals {!Wellfounded.compute}'s true facts, or [Undefined_atoms] is
-    raised. A well-founded result is settled ({!Database.settle}) and
+    raised. A fixpoint past [config.max_rounds] or an alternation that
+    cannot settle raises {!Eval.Diverged}. A well-founded result is settled ({!Database.settle}) and
     promoted out of the minor heap: the indexes the evaluation built
     are caught up, so the first queries over it neither replay their
     insertion logs nor copy the model's young rows. *)

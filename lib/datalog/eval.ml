@@ -13,6 +13,8 @@ type stats = {
   mutable order_time : float;
 }
 
+exception Diverged of string
+
 let new_stats () =
   {
     joins = 0;
@@ -153,46 +155,18 @@ let solve_body ?(stats = no_stats) ~db ~neg ?focus lits =
   let lits = Array.of_list lits in
   let n = Array.length lits in
   let used = Array.make n false in
-  let focus_idx, focus_db =
-    match focus with Some (i, d) -> (i, Some d) | None -> (-1, None)
-  in
-  (* Greedy order: all substitutions at the same step share the same set
-     of bound variables, so evaluability is a property of the step. *)
+  let focus_idx = Option.map fst focus in
+  (* The greedy order ({!Logic.Rule.next}), one step at a time: all
+     substitutions at a step share the same set of bound variables, so
+     the next literal is a property of the step. Stepping, rather than
+     ordering the whole body first, stops at the first literal that
+     leaves no substitution. *)
   let rec step bound ss remaining =
     if remaining = 0 || ss = [] then ss
-    else begin
-      let evaluable i =
-        (not used.(i))
-        &&
-        match lits.(i) with
-        | Literal.Cmp (Literal.Eq, t1, t2) ->
-          (* Unification can only proceed once one side is fully bound,
-             otherwise later negations would be tested non-ground. *)
-          List.for_all (fun x -> SS.mem x bound) (Term.vars t1)
-          || List.for_all (fun x -> SS.mem x bound) (Term.vars t2)
-        | l -> List.for_all (fun x -> SS.mem x bound) (Literal.needs l)
-      in
-      (* Prefer the focus literal, then positive atoms with many bound
-         variables (more selective joins), then tests/aggregates. *)
-      let score i =
-        match lits.(i) with
-        | Literal.Pos a ->
-          let vs = Atom.vars a in
-          let boundness =
-            List.length (List.filter (fun x -> SS.mem x bound) vs)
-          in
-          if i = focus_idx then 1000 + boundness else 100 + boundness
-        | Literal.Neg _ | Literal.Cmp _ | Literal.Assign _ -> 500
-        | Literal.Agg _ -> 10
-      in
-      let best = ref (-1) in
-      for i = 0 to n - 1 do
-        if evaluable i && (!best = -1 || score i > score !best) then best := i
-      done;
-      if !best = -1 then
-        invalid_arg "Eval.solve_body: body is not range-restricted"
-      else begin
-        let i = !best in
+    else
+      match Rule.next ?focus:focus_idx ~bound ~used lits with
+      | None -> invalid_arg "Eval.solve_body: body is not range-restricted"
+      | Some i ->
         used.(i) <- true;
         let lit = lits.(i) in
         let ss' =
@@ -201,8 +175,8 @@ let solve_body ?(stats = no_stats) ~db ~neg ?focus lits =
             List.filter (fun s -> eval_builtin (Atom.apply s a)) ss
           | Literal.Pos a ->
             let rel =
-              match focus_db with
-              | Some d when i = focus_idx -> rel_of d a.Atom.pred
+              match focus with
+              | Some (f, d) when f = i -> rel_of d a.Atom.pred
               | _ -> rel_of db a.Atom.pred
             in
             List.concat_map (fun s -> extend_pos stats rel s a) ss
@@ -234,12 +208,7 @@ let solve_body ?(stats = no_stats) ~db ~neg ?focus lits =
               ss
           | Literal.Agg ag -> List.concat_map (fun s -> eval_agg stats ~neg s ag) ss
         in
-        let bound' =
-          List.fold_left (fun acc x -> SS.add x acc) bound (Literal.binds lit)
-        in
-        step bound' ss' (remaining - 1)
-      end
-    end
+        step (Literal.bind ~bound lit) ss' (remaining - 1)
   in
   step SS.empty [ Subst.empty ] n
 

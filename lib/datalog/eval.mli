@@ -4,12 +4,12 @@
     ({!Plan}), which runs every rule and every {!Engine.query}
     otherwise. Its other callers are the compiled kernel's aggregate
     step ({!eval_agg}), {!Maintain}'s re-derivation test, {!Explain}'s
-    proof search, and the canonical databases of {!Cq} and
-    [Analysis.Contain].
+    proof search, and the canonical databases of [Analysis.Contain].
 
-    A body is solved left-to-right after a greedy reorder that always
-    picks an evaluable literal (one whose {!Logic.Literal.needs} are
-    bound). Positive atoms read from [db] — except one optional
+    A body is solved in the greedy order of {!Logic.Rule.next}, the
+    order {!Plan} compiles: one literal at a time, each an evaluable
+    one ({!Logic.Literal.evaluable}), stopping as soon as no
+    substitution is left. Positive atoms read from [db] — except one optional
     [focus] literal which reads from a delta database (the semi-naive
     trick). Negated atoms and aggregate literals read from [neg], which
     equals [db] for stratified evaluation and is a fixed candidate model
@@ -29,6 +29,13 @@ type stats = {
           not per round. *)
 }
 
+exception Diverged of string
+(** A fixpoint ran out of its budget: more rounds than [max_rounds]
+    (semi-naive, naive, maintenance or tabled evaluation), or an
+    alternating fixpoint that cannot settle ({!Wellfounded.alternate}).
+    The message says which. Every entry point of {!Engine} that
+    evaluates can raise it. *)
+
 val new_stats : unit -> stats
 
 val no_stats : stats
@@ -43,7 +50,9 @@ val solve_body :
   Logic.Subst.t list
 (** All substitutions (restricted to body variables) satisfying the
     body. [focus = (i, delta)] forces the [i]-th literal (0-based, must
-    be positive) to match against [delta] instead of [db]. *)
+    be positive) to match against [delta] instead of [db], and ranks it
+    first among the evaluable literals. Raises [Invalid_argument] when
+    the body is not range-restricted. *)
 
 val derive :
   ?stats:stats ->

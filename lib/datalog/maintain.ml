@@ -240,7 +240,9 @@ let dred_stratum t stats rs ~removed_db ~added_db ~blocked ~explicit ~unremove
     else begin
       incr rounds;
       if !rounds > t.max_rounds then
-        failwith "Maintain: max_rounds exceeded during over-deletion";
+        raise
+          (Eval.Diverged
+             (Printf.sprintf "over-deletion ran past %d rounds" t.max_rounds));
       let next = Database.create () in
       List.iter
         (fun r ->
@@ -473,7 +475,10 @@ let run_maintenance t ~new_rules ~additions ~deletions =
                 if Database.cardinal d = 0 then rounds
                 else begin
                   if rounds > t.max_rounds then
-                    failwith "Maintain: max_rounds exceeded during propagation";
+                    raise
+                      (Eval.Diverged
+                         (Printf.sprintf "propagation ran past %d rounds"
+                            t.max_rounds));
                   let next = Database.create () in
                   List.iter
                     (fun r ->

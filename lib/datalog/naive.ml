@@ -13,7 +13,9 @@ let run ?stats ?(max_term_depth = 8) ?(max_rounds = 100_000) ~neg rules db =
   while !changed do
     incr rounds;
     if !rounds > max_rounds then
-      failwith "Naive.run: max_rounds exceeded (diverging program?)";
+      raise
+        (Eval.Diverged
+           (Printf.sprintf "no fixpoint after %d naive rounds" max_rounds));
     changed := false;
     List.iter
       (fun r ->

@@ -17,5 +17,6 @@ val run :
   Database.t ->
   outcome
 (** Evaluate the rules against (and into) [db], with negation and
-    aggregation reading [neg]. Mutates [db]. Raises [Failure] when
-    [max_rounds] is exceeded (runaway recursion through skolems). *)
+    aggregation reading [neg]. Mutates [db]. Raises
+    {!Eval.Diverged} when [max_rounds] is exceeded (runaway recursion
+    through skolems or arithmetic). *)

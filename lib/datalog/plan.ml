@@ -3,13 +3,14 @@ module Atom = Logic.Atom
 module Literal = Logic.Literal
 module Subst = Logic.Subst
 module Rule = Logic.Rule
-module SS = Set.Make (String)
+module SS = Literal.Vars
 
-(* A compiled rule body: the greedy literal ordering of
-   [Eval.solve_body] run once at compile time, variables numbered into
-   slots of a fixed-size environment array, and every positive literal
-   turned into an indexed lookup with precomputed key extractors. The
-   interpreter in [Eval] stays as the differential-testing oracle.
+(* A compiled rule body: the greedy literal order ([Rule.order], the
+   one [Eval.solve_body] steps through) fixed at compile time,
+   variables numbered into slots of a fixed-size environment array, and
+   every positive literal turned into an indexed lookup with
+   precomputed key extractors. The interpreter in [Eval] stays as the
+   differential-testing oracle.
 
    Alongside each term slot the executor tracks the column's intern id
    when it is known (slots bound from stored rows carry the row's
@@ -82,16 +83,6 @@ type t = {
 
 (* ------------------------------------------------------------------ *)
 (* Compilation *)
-
-(* The greedy step's evaluability test: a literal can run once its
-   needed variables are bound; an equality can run once either side is
-   fully bound (it unifies into the other). *)
-let lit_evaluable bound lit =
-  match lit with
-  | Literal.Cmp (Literal.Eq, t1, t2) ->
-    List.for_all (fun x -> SS.mem x bound) (Term.vars t1)
-    || List.for_all (fun x -> SS.mem x bound) (Term.vars t2)
-  | l -> List.for_all (fun x -> SS.mem x bound) (Literal.needs l)
 
 let compile (r : Rule.t) ~focus =
   let slots = Hashtbl.create 8 in
@@ -174,98 +165,65 @@ let compile (r : Rule.t) ~focus =
           && Array.for_all (function Ckey -> true | Cpat _ -> false) cols;
       }
   in
-  (* Greedy order: identical evaluability and scoring to
-     [Eval.solve_body], so compiled and interpreted evaluation pick the
-     same join order — only here it runs once, not per round. *)
   let lits = Array.of_list r.Rule.body in
-  let n = Array.length lits in
-  let used = Array.make n false in
-  let focus_idx = match focus with Some i -> i | None -> -1 in
-  let ops = ref [] in
-  let rec step bound remaining =
-    if remaining = 0 then bound
-    else begin
-      let evaluable i = (not used.(i)) && lit_evaluable bound lits.(i) in
-      let score i =
-        match lits.(i) with
-        | Literal.Pos a ->
-          let vs = Atom.vars a in
-          let boundness =
-            List.length (List.filter (fun x -> SS.mem x bound) vs)
-          in
-          if i = focus_idx then 1000 + boundness else 100 + boundness
-        | Literal.Neg _ | Literal.Cmp _ | Literal.Assign _ -> 500
-        | Literal.Agg _ -> 10
+  let compile_lit bound i =
+    let lit = lits.(i) in
+    match lit with
+    | Literal.Pos a when Literal.is_builtin a.Atom.pred ->
+      Builtin
+        {
+          pred = a.Atom.pred;
+          args = Array.of_list (List.map (builder bound) a.Atom.args);
+        }
+    | Literal.Pos a -> compile_scan bound ~from_delta:(focus = Some i) a
+    | Literal.Neg a ->
+      Negcheck
+        {
+          pred = a.Atom.pred;
+          args = Array.of_list (List.map (builder bound) a.Atom.args);
+        }
+    | Literal.Cmp (Literal.Eq, t1, t2) ->
+      let ground t = List.for_all (fun x -> SS.mem x bound) (Term.vars t) in
+      if ground t1 && ground t2 then
+        Cmpop
+          { op = Literal.Eq; left = builder bound t1; right = builder bound t2 }
+      else if ground t1 then
+        UnifyEq { bound = builder bound t1; pat = pat (ref bound) t2 }
+      else UnifyEq { bound = builder bound t2; pat = pat (ref bound) t1 }
+    | Literal.Cmp (op, t1, t2) ->
+      Cmpop { op; left = builder bound t1; right = builder bound t2 }
+    | Literal.Assign (t, e) ->
+      Assign { expr = cexpr bound e; pat = pat (ref bound) t }
+    | Literal.Agg ag ->
+      let vs = Literal.vars lit in
+      let in_slots =
+        List.filter_map
+          (fun x -> if SS.mem x bound then Some (x, slot_of x) else None)
+          vs
       in
-      let best = ref (-1) in
-      for i = 0 to n - 1 do
-        if evaluable i && (!best = -1 || score i > score !best) then
-          best := i
-      done;
-      if !best = -1 then
-        invalid_arg "Plan.compile: body is not range-restricted"
-      else begin
-        let i = !best in
-        used.(i) <- true;
-        let lit = lits.(i) in
-        let op =
-          match lit with
-          | Literal.Pos a when Literal.is_builtin a.Atom.pred ->
-            Builtin
-              {
-                pred = a.Atom.pred;
-                args = Array.of_list (List.map (builder bound) a.Atom.args);
-              }
-          | Literal.Pos a ->
-            compile_scan bound ~from_delta:(i = focus_idx) a
-          | Literal.Neg a ->
-            Negcheck
-              {
-                pred = a.Atom.pred;
-                args = Array.of_list (List.map (builder bound) a.Atom.args);
-              }
-          | Literal.Cmp (Literal.Eq, t1, t2) ->
-            let ground t =
-              List.for_all (fun x -> SS.mem x bound) (Term.vars t)
-            in
-            if ground t1 && ground t2 then
-              Cmpop
-                {
-                  op = Literal.Eq;
-                  left = builder bound t1;
-                  right = builder bound t2;
-                }
-            else if ground t1 then
-              UnifyEq { bound = builder bound t1; pat = pat (ref bound) t2 }
-            else UnifyEq { bound = builder bound t2; pat = pat (ref bound) t1 }
-          | Literal.Cmp (op, t1, t2) ->
-            Cmpop { op; left = builder bound t1; right = builder bound t2 }
-          | Literal.Assign (t, e) ->
-            Assign { expr = cexpr bound e; pat = pat (ref bound) t }
-          | Literal.Agg ag ->
-            let vs = Literal.vars lit in
-            let in_slots =
-              List.filter_map
-                (fun x -> if SS.mem x bound then Some (x, slot_of x) else None)
-                vs
-            in
-            let out_slots =
-              List.filter_map
-                (fun x ->
-                  if SS.mem x bound then None else Some (x, slot_of x))
-                (Literal.binds lit)
-            in
-            Aggregate { agg = ag; in_slots; out_slots }
-        in
-        ops := op :: !ops;
-        let bound' =
-          List.fold_left (fun acc x -> SS.add x acc) bound (Literal.binds lit)
-        in
-        step bound' (remaining - 1)
-      end
-    end
+      let out_slots =
+        List.filter_map
+          (fun x -> if SS.mem x bound then None else Some (x, slot_of x))
+          (Literal.binds lit)
+      in
+      Aggregate { agg = ag; in_slots; out_slots }
   in
-  let bound = step SS.empty n in
+  (* The greedy order ({!Rule.next}, the one [Rule.order] and
+     [Eval.solve_body] step through), fixed once here instead of once
+     per round, each literal compiled against the variables bound
+     before it. *)
+  let used = Array.make (Array.length lits) false in
+  let rec step bound ops remaining =
+    if remaining = 0 then (bound, ops)
+    else
+      match Rule.next ?focus ~bound ~used lits with
+      | None -> invalid_arg "Plan.compile: body is not range-restricted"
+      | Some i ->
+        used.(i) <- true;
+        let op = compile_lit bound i in
+        step (Literal.bind ~bound lits.(i)) (op :: ops) (remaining - 1)
+  in
+  let bound, ops = step SS.empty [] (Array.length lits) in
   let head =
     Array.of_list
       (List.map
@@ -280,13 +238,11 @@ let compile (r : Rule.t) ~focus =
     head_pred = r.Rule.head.Atom.pred;
     head;
     nslots = max 1 !nslots;
-    ops = Array.of_list (List.rev !ops);
+    ops = Array.of_list (List.rev ops);
     focus_pred =
-      (if focus_idx < 0 then None
-       else
-         match lits.(focus_idx) with
-         | Literal.Pos a -> Some a.Atom.pred
-         | _ -> None);
+      (match Option.map (Array.get lits) focus with
+      | Some (Literal.Pos a) -> Some a.Atom.pred
+      | _ -> None);
   }
 
 (* ------------------------------------------------------------------ *)

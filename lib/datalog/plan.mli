@@ -3,24 +3,26 @@
     A rule body is compiled once per delta-focus position into an
     ordered array of ops over a slot-numbered environment (a fixed
     [Term.t array] replacing the string-keyed substitution maps of the
-    interpreted path). Compilation runs the same greedy literal
-    ordering as {!Eval.solve_body} — evaluability and scores are
-    identical, so compiled and interpreted evaluation visit literals in
-    the same order — but pays it once per (rule, focus) instead of once
-    per fixpoint round. Positive literals become indexed lookups with
-    precomputed key extractors against the signature indexes of
-    {!Relation}; a positive literal whose every column is bound becomes
-    a membership test on the relation's row set ({!Relation.mem_ids}),
-    so no index keys every column. Comparisons, negations, assignments
-    and aggregates become residual filter/bind steps. Lookup keys are
-    looked up in the term pool, never interned: a term the pool does not
-    know is in no stored row.
+    interpreted path). Compilation fixes the body's literal order by
+    stepping {!Logic.Rule.next} through the whole body (the order of
+    {!Logic.Rule.order}), the step {!Eval.solve_body} takes one literal
+    at a time, so compiled and interpreted evaluation visit literals in
+    the same order; the plan pays for it once per (rule, focus) instead
+    of once per fixpoint round. Positive
+    literals become indexed lookups with precomputed key extractors
+    against the signature indexes of {!Relation}; a positive literal
+    whose every column is bound becomes a membership test on the
+    relation's row set ({!Relation.mem_ids}), so no index keys every
+    column. Comparisons, negations, assignments and aggregates become
+    residual filter/bind steps. Lookup keys are looked up in the term
+    pool, never interned: a term the pool does not know is in no stored
+    row.
 
-    Rule plans are cached globally, keyed by (rule, focus). Every plan
-    uses the greedy order; the cache is the module's only mutable
-    state. {!Datalog.Engine.query} compiles each query with {!compile}
-    and never caches it. The interpreted path in {!Eval} is kept as the
-    differential-testing oracle (see [test/test_differential.ml]). *)
+    Rule plans are cached globally, keyed by (rule, focus); the cache
+    is the module's only mutable state. {!Datalog.Engine.query}
+    compiles each query with {!compile} and never caches it. The
+    interpreted path in {!Eval} is kept as the differential-testing
+    oracle (see [test/test_differential.ml]). *)
 
 type t
 (** A compiled plan for one rule and one optional focus position. *)

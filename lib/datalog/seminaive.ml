@@ -6,6 +6,11 @@ type outcome = { rounds : int; derived : int; skolems_suppressed : int }
 let too_deep max_term_depth (a : Atom.t) =
   List.exists (fun t -> Logic.Term.depth t > max_term_depth) a.Atom.args
 
+let diverged max_rounds =
+  raise
+    (Eval.Diverged
+       (Printf.sprintf "no fixpoint after %d semi-naive rounds" max_rounds))
+
 (* Interpreted path: the differential-testing oracle. Heads come back
    as atoms and are re-packed by [Database.add_fact]. *)
 let run_interpreted ?stats ~max_term_depth ~max_rounds ~neg rules db =
@@ -28,8 +33,7 @@ let run_interpreted ?stats ~max_term_depth ~max_rounds ~neg rules db =
   let rec loop rounds delta =
     if Database.cardinal delta = 0 then rounds
     else begin
-      if rounds >= max_rounds then
-        failwith "Seminaive.run: max_rounds exceeded (diverging program?)";
+      if rounds >= max_rounds then diverged max_rounds;
       let next = Database.create () in
       List.iter
         (fun r ->
@@ -127,8 +131,7 @@ let run_compiled ?stats ~max_term_depth ~max_rounds ~neg rules db =
   let rec loop rounds delta =
     if Hashtbl.length delta = 0 then rounds
     else begin
-      if rounds >= max_rounds then
-        failwith "Seminaive.run: max_rounds exceeded (diverging program?)";
+      if rounds >= max_rounds then diverged max_rounds;
       let next = Hashtbl.create 16 in
       List.iter
         (fun (pred, rel, focus_pred, stream_ok, plan) ->

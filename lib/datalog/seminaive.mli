@@ -18,6 +18,7 @@ val run :
   Logic.Rule.t list ->
   Database.t ->
   outcome
-(** Same contract as {!Naive.run}. Mutates [db]. [compiled] (default
-    [true]) derives through cached {!Plan}s; [false] keeps the
-    interpreted {!Eval.derive} path — the differential-testing oracle. *)
+(** Same contract as {!Naive.run}, {!Eval.Diverged} included.
+    Mutates [db]. [compiled] (default [true]) derives through cached
+    {!Plan}s; [false] keeps the interpreted {!Eval.derive} path — the
+    differential-testing oracle. *)

@@ -130,30 +130,18 @@ and stratum_of state pred =
   match Hashtbl.find_opt state.strata pred with Some s -> s | None -> 0
 
 and solve_body state ~head_stratum s0 lits =
-  (* Greedy evaluable-first ordering, mirroring Eval.solve_body. *)
-  let module SS = Set.Make (String) in
+  (* The greedy order ({!Logic.Rule.next}) stepped from the variables
+     the call binds, as in Eval.solve_body. *)
+  let module SS = Literal.Vars in
   let lits = Array.of_list lits in
   let n = Array.length lits in
   let used = Array.make n false in
   let rec step bound ss remaining =
     if remaining = 0 || ss = [] then ss
-    else begin
-      let evaluable i =
-        (not used.(i))
-        &&
-        match lits.(i) with
-        | Literal.Cmp (Literal.Eq, t1, t2) ->
-          List.for_all (fun x -> SS.mem x bound) (Term.vars t1)
-          || List.for_all (fun x -> SS.mem x bound) (Term.vars t2)
-        | l -> List.for_all (fun x -> SS.mem x bound) (Literal.needs l)
-      in
-      let pick = ref (-1) in
-      for i = 0 to n - 1 do
-        if evaluable i && !pick = -1 then pick := i
-      done;
-      if !pick = -1 then invalid_arg "Topdown: body not range-restricted"
-      else begin
-        let i = !pick in
+    else
+      match Rule.next ~bound ~used lits with
+      | None -> invalid_arg "Topdown: body not range-restricted"
+      | Some i ->
         used.(i) <- true;
         let lit = lits.(i) in
         let ss' =
@@ -214,12 +202,7 @@ and solve_body state ~head_stratum s0 lits =
               ss
           | Literal.Agg _ -> assert false (* rejected by validate *)
         in
-        let bound' =
-          List.fold_left (fun acc x -> SS.add x acc) bound (Literal.binds lit)
-        in
-        step bound' ss' (remaining - 1)
-      end
-    end
+        step (Literal.bind ~bound lit) ss' (remaining - 1)
   in
   let bound0 =
     (* variables bound to *ground* terms by the call substitution: a
@@ -258,7 +241,10 @@ and run_fixpoint ?(below = max_int) state =
   while !continue_ do
     incr rounds;
     if !rounds > state.max_rounds then
-      failwith "Topdown.run_fixpoint: max_rounds exceeded";
+      raise
+        (Eval.Diverged
+           (Printf.sprintf "no tabled fixpoint after %d rounds"
+              state.max_rounds));
     let v0 = state.version in
     let snapshot =
       Hashtbl.fold

@@ -8,7 +8,9 @@
     Supported fragment: stratified programs without aggregate literals
     and without function symbols in rule heads (use the bottom-up
     engine for those). Negative literals are solved by completing the
-    called table first, which stratification makes safe. *)
+    called table first, which stratification makes safe. A rule body
+    runs in the engine's greedy order ({!Logic.Rule.next}), stepped
+    from the variables the call binds. *)
 
 exception Unsupported of string
 
@@ -30,7 +32,7 @@ val solve :
 (** [solve p edb goal] — all ground instances of [goal] entailed by the
     program over the EDB, sorted. Raises {!Unsupported} for aggregate
     rules, head function symbols, or unstratified negation;
-    [Failure] if [max_rounds] is exceeded. *)
+    {!Eval.Diverged} if [max_rounds] is exceeded. *)
 
 val solve_many :
   ?stats:stats ->

@@ -26,7 +26,17 @@ let gamma ?stats ?compiled ?max_term_depth ?max_rounds rules base i =
    iterates Γ built are compared: A_0 is not one of them when [first]
    comes from a stratum's relaxation. The true facts are the even
    limit, reported with the suppression count of the Γ that built it
-   from the odd one. *)
+   from the odd one.
+
+   Without an aggregate inside a component Γ is antimonotone and the
+   sequence settles. An aggregate can make it climb for many steps and
+   still settle, or return to an earlier iterate A_s at A_{j+1}. Γ is a
+   function of its argument, so from there the sequence repeats with
+   period j+1-s forever; a period of 1 or 2 is a settled sequence, and
+   one of 3 or more never settles. [saved] keeps A_s for the largest
+   power of two s <= j (Brent's cycle detection), so such a cycle is
+   found within about two periods of where it starts, whatever the
+   size of the iterates, and is reported as [Eval.Diverged]. *)
 let alternate ?stats ?compiled ?max_term_depth ?max_rounds rules ~base first =
   let alternations = ref 0 in
   let step i =
@@ -37,16 +47,26 @@ let alternate ?stats ?compiled ?max_term_depth ?max_rounds rules ~base first =
     { true_facts = under; undefined; alternations = !alternations;
       skolems_suppressed }
   in
-  (* [cur] is A_j, [prev] is A_{j-1} from j = 2 on *)
-  let rec go prev ((cur, _) as c) j =
+  (* [cur] is A_j, [prev] is A_{j-1} from j = 2 on, [saved] is A_s;
+     only s < j - 1 can show a repeat that the settling checks missed *)
+  let rec go prev ((cur, _) as c) j (s, saved) =
     let ((next, _) as n) = step cur in
     if Database.equal next cur then settle n ~undefined:(Database.create ())
     else if Option.fold ~none:false ~some:(Database.equal next) prev then
       let under, over = if j mod 2 = 1 then (n, cur) else (c, next) in
       settle under ~undefined:(Database.diff over (fst under))
-    else go (Some cur) n (j + 1)
+    else if s < j - 1 && Database.equal next saved then
+      raise
+        (Eval.Diverged
+           (Printf.sprintf
+              "the alternating fixpoint returned to iterate %d at iterate \
+               %d and never settles (an aggregate through recursion?)"
+              s (j + 1)))
+    else
+      let j = j + 1 in
+      go (Some cur) n j (if j land (j - 1) = 0 then (j, next) else (s, saved))
   in
-  go None first 1
+  go None first 1 (1, fst first)
 
 let compute ?stats ?compiled ?max_term_depth ?max_rounds p edb =
   let rules = Program.rules p in

@@ -61,7 +61,14 @@ val alternate :
     and [a1] are not mutated, and [true_facts] is a fresh database.
     {!compute} is [alternate] from Γ(A_0); {!Engine.materialize} runs
     it on one stratum, lower strata in [base], from the stratum's
-    relaxation. *)
+    relaxation.
+
+    An aggregate inside a component can make the sequence return to
+    an earlier iterate with a period of 3 or more, so that it never
+    settles. That repeat is detected (Brent's method: one saved
+    iterate, replaced at A_1, A_2, A_4, A_8, ...) and raises
+    {!Eval.Diverged}, as does a Γ past [max_rounds]. A sequence that
+    settles, however late, is never stopped. *)
 
 val is_total : model -> bool
 (** [true] iff nothing is undefined — e.g. always for stratified

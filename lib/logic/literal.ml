@@ -90,6 +90,23 @@ let needs = function
        variables shared with earlier literals, handled in the engine. *)
     []
 
+module Vars = Set.Make (String)
+
+let rec all_bound bound = function
+  | [] -> true
+  | x :: xs -> Vars.mem x bound && all_bound bound xs
+
+let evaluable ~bound lit =
+  match lit with
+  | Cmp (Eq, t1, t2) ->
+    (* unification grounds one side only once the other is ground;
+       earlier, later negations would be tested non-ground *)
+    all_bound bound (Term.vars t1) || all_bound bound (Term.vars t2)
+  | l -> all_bound bound (needs l)
+
+let bind ~bound lit =
+  List.fold_left (fun acc x -> Vars.add x acc) bound (binds lit)
+
 let rec apply_expr s = function
   | Leaf t -> Leaf (Subst.apply s t)
   | Bin (op, e1, e2) -> Bin (op, apply_expr s e1, apply_expr s e2)

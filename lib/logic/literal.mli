@@ -80,6 +80,21 @@ val needs : t -> string list
     right-hand sides, and aggregate group-by variables that also occur
     outside the aggregate. *)
 
+module Vars : Set.S with type elt = string and type t = Set.Make(String).t
+(** Sets of variable names, such as the variables a body has bound so
+    far. *)
+
+val evaluable : bound:Vars.t -> t -> bool
+(** Whether the literal can run once the variables in [bound] are
+    bound: all its {!needs} are, or, for an [Eq] comparison, all the
+    variables of either side (it unifies into the other). The one
+    evaluability test of every evaluator, of {!Rule.next} and of
+    {!Rule.safety_errors}. *)
+
+val bind : bound:Vars.t -> t -> Vars.t
+(** The variables bound once the literal has run: [bound] plus its
+    {!binds}. *)
+
 val apply : Subst.t -> t -> t
 val apply_expr : Subst.t -> expr -> expr
 val rename_apart : suffix:string -> t -> t

@@ -27,7 +27,7 @@ let rename_apart ~suffix r =
     body = List.map (Literal.rename_apart ~suffix) r.body;
   }
 
-module SS = Set.Make (String)
+module SS = Literal.Vars
 
 type safety_error =
   | Agg_unbound of string
@@ -65,17 +65,7 @@ let safety_errors r =
     let bound' =
       List.fold_left
         (fun acc l ->
-          let fireable =
-            match l with
-            | Literal.Cmp (Literal.Eq, t1, t2) ->
-              (* Equality unifies; it can only ground the other side
-                 once one side is fully bound. *)
-              List.for_all (fun x -> SS.mem x acc) (Term.vars t1)
-              || List.for_all (fun x -> SS.mem x acc) (Term.vars t2)
-            | l -> List.for_all (fun x -> SS.mem x acc) (Literal.needs l)
-          in
-          if fireable then
-            List.fold_left (fun acc x -> SS.add x acc) acc (Literal.binds l)
+          if Literal.evaluable ~bound:acc l then Literal.bind ~bound:acc l
           else acc)
         bound lits
     in
@@ -123,6 +113,54 @@ let safety_errors r =
       lits
   in
   agg_errors @ unbound @ stuck
+
+(* The greedy step: the focus literal first, then positive atoms with
+   the most bound variables (the most selective joins), then tests,
+   then aggregates; the first index on a tie. A literal is scored only
+   against a rival: later steps often have one candidate left, and
+   [Atom.vars] allocates. *)
+let rec count_bound bound n = function
+  | [] -> n
+  | x :: xs -> count_bound bound (if SS.mem x bound then n + 1 else n) xs
+
+let next ?(focus = -1) ~bound ~used lits =
+  let score i =
+    match lits.(i) with
+    | Literal.Pos a ->
+      let b = count_bound bound 0 (Atom.vars a) in
+      if i = focus then 1000 + b else 100 + b
+    | Literal.Neg _ | Literal.Cmp _ | Literal.Assign _ -> 500
+    | Literal.Agg _ -> 10
+  in
+  (* [best_score] is 0 until a rival makes [best] need one *)
+  let best = ref (-1) and best_score = ref 0 in
+  for i = 0 to Array.length lits - 1 do
+    if (not used.(i)) && Literal.evaluable ~bound lits.(i) then
+      if !best < 0 then best := i
+      else begin
+        if !best_score = 0 then best_score := score !best;
+        let s = score i in
+        if s > !best_score then begin
+          best := i;
+          best_score := s
+        end
+      end
+  done;
+  if !best < 0 then None else Some !best
+
+let order ?focus r =
+  let lits = Array.of_list r.body in
+  let used = Array.make (Array.length lits) false in
+  let rec go bound acc n =
+    if n = Array.length lits then Some (List.rev acc)
+    else
+      match next ?focus ~bound ~used lits with
+      | None -> None
+      | Some i ->
+        used.(i) <- true;
+        go (Literal.bind ~bound lits.(i)) (i :: acc) (n + 1)
+  in
+  go SS.empty [] 0
 
 let check_safety r =
   match safety_errors r with

@@ -43,6 +43,33 @@ val check_safety : t -> (unit, string) result
     bound by the inner conjunction). [Error] carries the first entry of
     {!safety_errors}, rendered. *)
 
+(** {1 Literal order}
+
+    The one literal order of every evaluator: the interpreter
+    ([Datalog.Eval]), the compiled plans ([Datalog.Plan]), tabled
+    resolution ([Datalog.Topdown]) and the cost model
+    ([Analysis.Card]). *)
+
+val next :
+  ?focus:int ->
+  bound:Literal.Vars.t ->
+  used:bool array ->
+  Literal.t array ->
+  int option
+(** The greedy step: the index of the body literal to run next, given
+    the variables [bound] so far and the literals already [used].
+    Among the unused literals that are {!Literal.evaluable}, it picks
+    the highest score: the [focus] literal (the one reading a delta)
+    1000 + b, another positive atom 100 + b, where b counts its bound
+    variables; a negation, comparison or assignment 500; an aggregate
+    10. The first index wins a tie. [None] when no unused literal is
+    evaluable. *)
+
+val order : ?focus:int -> t -> int list option
+(** The whole body order: {!next} from no bound variables, each chosen
+    literal binding its {!Literal.binds}. [None] when the body is not
+    range-restricted (some literal never becomes evaluable). *)
+
 val body_predicates : t -> (string * bool) list
 (** Predicates of the body with their nonmonotonic flag, for
     stratification. *)

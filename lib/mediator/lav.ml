@@ -2,17 +2,40 @@ module Term = Logic.Term
 module Atom = Logic.Atom
 module Literal = Logic.Literal
 module Rule = Logic.Rule
-module Cq = Datalog.Cq
 
-type view = { vname : string; definition : Cq.t }
+type view = { vname : string; definition : Rule.t }
 
-let view ~name definition = { vname = name; definition }
+let view ~name (r : Rule.t) =
+  let error fmt = Printf.ksprintf (fun m -> Error ("Lav.view: " ^ m)) fmt in
+  let has_function (a : Atom.t) =
+    List.exists (function Term.App _ -> true | _ -> false) a.Atom.args
+  in
+  let refusal = function
+    | Literal.Pos a when not (Literal.is_builtin a.Atom.pred) ->
+      if has_function a then Some "has a function symbol" else None
+    | _ -> Some "is not a conjunctive-query atom"
+  in
+  let body_vars = List.concat_map Literal.vars r.Rule.body in
+  match
+    List.find_map
+      (fun l -> Option.map (fun why -> (l, why)) (refusal l))
+      r.Rule.body
+  with
+  | Some (l, why) -> error "%s %s" (Literal.to_string l) why
+  | None when has_function r.Rule.head ->
+    error "the head %s has a function symbol" (Atom.to_string r.Rule.head)
+  | None -> (
+    match
+      List.find_opt (fun x -> not (List.mem x body_vars)) (Atom.vars r.Rule.head)
+    with
+    | Some x -> error "head variable %s is not in the body" x
+    | None -> Ok { vname = name; definition = r })
 
 let invert v =
   let q = v.definition in
-  let head_vars = Atom.vars q.Cq.head in
+  let head_vars = Atom.vars q.Rule.head in
   let head_args = List.map Term.var head_vars in
-  let view_atom = Atom.make v.vname q.Cq.head.Atom.args in
+  let view_atom = Atom.make v.vname q.Rule.head.Atom.args in
   (* existential variables (in the body but not the head) are
      skolemised over the head variables *)
   let skolemise t =
@@ -21,12 +44,16 @@ let invert v =
       Term.app (Printf.sprintf "f_%s_%s" v.vname x) head_args
     | t -> t
   in
-  List.map
-    (fun (body_atom : Atom.t) ->
-      Rule.make
-        (Atom.make body_atom.Atom.pred (List.map skolemise body_atom.Atom.args))
-        [ Literal.Pos view_atom ])
-    q.Cq.body
+  List.filter_map
+    (function
+      | Literal.Pos (body_atom : Atom.t) ->
+        Some
+          (Rule.make
+             (Atom.make body_atom.Atom.pred
+                (List.map skolemise body_atom.Atom.args))
+             [ Literal.Pos view_atom ])
+      | _ -> None)
+    q.Rule.body
 
 let answer ~views ~extensions goal =
   let rules = List.concat_map invert views in

@@ -21,12 +21,19 @@
       [has_a_star], aggregation, negation) — exactly the features the
       paper's domain-map views rely on. *)
 
-type view = {
-  vname : string;           (** source relation (the view's extension) *)
-  definition : Datalog.Cq.t;  (** CQ over the global schema *)
+type view = private {
+  vname : string;  (** source relation (the view's extension) *)
+  definition : Logic.Rule.t;
+      (** a conjunctive query over the global schema *)
 }
+(** Built only by {!view}, which checks the definition. *)
 
-val view : name:string -> Datalog.Cq.t -> view
+val view : name:string -> Logic.Rule.t -> (view, string) result
+(** The view [name] defined by a conjunctive query: a rule whose body
+    holds only positive, non-builtin atoms, with no function symbol in
+    its head or body and every head variable in the body. [Error] names
+    the first negated, comparison, assignment, aggregate or builtin
+    literal, function symbol or unbound head variable. *)
 
 val invert : view -> Logic.Rule.t list
 (** One rule per body atom of the definition: the global relation is

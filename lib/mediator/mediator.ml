@@ -759,7 +759,7 @@ let query_text t src =
             well-founded semantics"
            n
            (if n = 1 then "" else "s"))
-    | Invalid_argument e -> Error e)
+    | Datalog.Eval.Diverged e | Invalid_argument e -> Error e)
 
 let holds t m = query t [ Molecule.Pos m ] <> []
 

@@ -186,7 +186,8 @@ val query_text : t -> string -> (Logic.Subst.t list, string) result
 (** Parse and run an FL query. [Error] on a parse error, on a query
     that is not range-restricted, and when the mediated base is
     unstratified and its well-founded model leaves atoms undefined
-    ({!Datalog.Engine.Undefined_atoms}). *)
+    ({!Datalog.Engine.Undefined_atoms}) or its evaluation runs out of
+    rounds ({!Datalog.Eval.Diverged}). *)
 
 val holds : t -> Flogic.Molecule.t -> bool
 (** Some instance of the molecule is in the mediated base. Raises

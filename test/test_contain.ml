@@ -15,7 +15,10 @@
        (c) every random program the termination analysis accepts
            reaches its fixpoint without the term-depth guard firing;
    - the mediator warns about a redundant IVD at installation;
-   - the SARIF rendering carries the new rule ids. *)
+   - the SARIF rendering carries the new rule ids;
+   - pure conjunctive queries (the GCM axioms off): containment,
+     alpha-equivalence and minimization, and a QCheck property that
+     minimization keeps a query equivalent. *)
 
 open Logic
 module A = Analysis
@@ -557,6 +560,57 @@ let non_redundant_ivd () =
   Alcotest.(check bool) "independent views stay silent" false warned
 
 (* ------------------------------------------------------------------ *)
+(* Pure conjunctive queries: with the GCM axioms off, [contained] is
+   Chandra–Merlin freezing over plain Datalog *)
+
+let cq_ctx = C.make_ctx ~gcm:false ()
+
+let cq head body =
+  rule (Atom.make "ans" head)
+    (List.map (fun (p, args) -> Literal.pos p args) body)
+
+let cq_containment () =
+  let path2 = cq [ v "X" ] [ ("e", [ v "X"; v "Y" ]); ("e", [ v "Y"; v "Z" ]) ] in
+  let edge = cq [ v "X" ] [ ("e", [ v "X"; v "Y" ]) ] in
+  Alcotest.(check bool) "longer path contained in shorter" true
+    (C.contained cq_ctx path2 edge);
+  Alcotest.(check bool) "not conversely" false (C.contained cq_ctx edge path2);
+  Alcotest.(check bool) "not equivalent" false (C.equivalent cq_ctx path2 edge)
+
+let cq_alpha () =
+  let q1 = cq [ v "X" ] [ ("e", [ v "X"; v "Y" ]) ] in
+  let q2 = cq [ v "A" ] [ ("e", [ v "A"; v "B" ]) ] in
+  Alcotest.(check bool) "alpha-equivalent" true (C.equivalent cq_ctx q1 q2)
+
+let cq_minimize () =
+  (* e(X,Y), e(X,Y2) with Y2 unused folds onto e(X,Y) *)
+  let q = cq [ v "X" ] [ ("e", [ v "X"; v "Y" ]); ("e", [ v "X"; v "Y2" ]) ] in
+  let m = C.minimize_rule cq_ctx q in
+  Alcotest.(check int) "one atom survives" 1 (List.length m.Rule.body);
+  Alcotest.(check bool) "still equivalent" true (C.equivalent cq_ctx q m);
+  let minimal r = C.implied_atoms cq_ctx r = [] in
+  Alcotest.(check bool) "q not minimal" false (minimal q);
+  Alcotest.(check bool) "m minimal" true (minimal m);
+  (* a genuine 2-path does not shrink *)
+  let p2 =
+    cq [ v "X"; v "Z" ] [ ("e", [ v "X"; v "Y" ]); ("e", [ v "Y"; v "Z" ]) ]
+  in
+  Alcotest.(check bool) "2-path minimal" true (minimal p2)
+
+let cq_minimize_equivalent =
+  let gen =
+    let open QCheck.Gen in
+    let var = oneofl [ "X"; "Y"; "Z"; "W" ] in
+    list_size (int_range 1 4)
+      (map2 (fun a b -> ("e", [ v a; v b ])) var var)
+  in
+  QCheck.Test.make ~name:"CQ core equivalence" ~count:100 (QCheck.make gen)
+    (fun body ->
+      let q = cq [ v "X" ] body in
+      if Rule.check_safety q <> Ok () then QCheck.assume_fail ()
+      else C.equivalent cq_ctx q (C.minimize_rule cq_ctx q))
+
+(* ------------------------------------------------------------------ *)
 (* SARIF rendering carries the new passes *)
 
 let sarif_render () =
@@ -609,5 +663,9 @@ let suites =
         Alcotest.test_case "independent IVDs stay silent" `Quick
           non_redundant_ivd;
         Alcotest.test_case "SARIF rendering" `Quick sarif_render;
+        Alcotest.test_case "CQ containment" `Quick cq_containment;
+        Alcotest.test_case "CQ alpha-renaming" `Quick cq_alpha;
+        Alcotest.test_case "CQ minimize" `Quick cq_minimize;
+        QCheck_alcotest.to_alcotest cq_minimize_equivalent;
       ] );
   ]

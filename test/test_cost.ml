@@ -233,6 +233,61 @@ let lint_sample ?budget name =
   Analysis.Kindlint.lint_program ?budget
     ~positions:parsed.Flogic.Fl_parser.rule_positions program
 
+(* ------------------------------------------------------------------ *)
+(* Card prices the order the engine runs, on every rule of the samples
+   too. In q below that is a's three rows, then c keyed on X, then b
+   keyed on Z: no cross product. Scanning b (two rows) and then a
+   would be one, and no plan runs it.                                 *)
+
+let check_engine_orders ctx rules =
+  List.iter
+    (fun ((r : Rule.t), (c : Card.rule_cost)) ->
+      Alcotest.(check (option (list int)))
+        (Printf.sprintf "%s: %s" ctx (Rule.to_string r))
+        (Rule.order r) (Some c.Card.order))
+    (Card.rule_costs (Card.analyze rules))
+
+let engine_order () =
+  let unary p n =
+    List.init n (fun i ->
+        Rule.fact (Atom.make p [ s (Printf.sprintf "%s%d" p i) ]))
+  in
+  let c =
+    List.concat
+      (List.init 3 (fun i ->
+           List.init 3 (fun j ->
+               Rule.fact
+                 (Atom.make "c"
+                    [ s (Printf.sprintf "a%d" i); s (Printf.sprintf "b%d" j) ]))))
+  in
+  let q =
+    Rule.make
+      (Atom.make "q" [ v "X"; v "Z" ])
+      [
+        Literal.pos "a" [ v "X" ];
+        Literal.pos "b" [ v "Z" ];
+        Literal.pos "c" [ v "X"; v "Z" ];
+      ]
+  in
+  let rules = unary "a" 3 @ unary "b" 2 @ c @ [ q ] in
+  check_engine_orders "engine order" rules;
+  let c = List.assoc q (Card.rule_costs (Card.analyze rules)) in
+  Alcotest.(check (list int)) "a, c on X, b on Z" [ 0; 2; 1 ] c.Card.order;
+  Alcotest.(check int) "no cross product on that order" 0
+    c.Card.cross_products;
+  Alcotest.(check bool) "no cross-product-join warning" false
+    (List.exists
+       (fun d -> d.D.code = "cross-product-join")
+       (Cost_lint.lint rules));
+  List.iter
+    (fun name ->
+      let parsed = Flogic.Fl_parser.parse_program_exn (read_sample name) in
+      check_engine_orders name
+        (List.concat_map
+           (Flogic.Compile.rule parsed.Flogic.Fl_parser.signature)
+           parsed.Flogic.Fl_parser.rules))
+    [ "spines.flp"; "broken.flp" ]
+
 let cost_codes = [ "cross-product-join"; "unbounded-growth" ]
 
 let broken_goldens () =
@@ -292,5 +347,6 @@ let suites =
           normalize_deterministic;
         Alcotest.test_case "broken.flp cost goldens" `Quick broken_goldens;
         Alcotest.test_case "spines.flp stays cost-clean" `Quick clean_goldens;
+        Alcotest.test_case "the order the engine runs" `Quick engine_order;
       ] );
   ]

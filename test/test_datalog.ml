@@ -492,6 +492,65 @@ let test_wellfounded_alternations () =
   Alcotest.(check int) "Neuro scale 20 plus one has witness" 3
     (Lazy.force Neuro_fixture.with_witness_wf).Wellfounded.alternations
 
+(* An aggregate inside a component: A_1..A_4 = {ga}, {ga, gbig},
+   {gbig}, {} and A_5 = A_1, a cycle of period 4 that never settles.
+   It is reported, not run forever. *)
+let test_wellfounded_unsettled () =
+  let p =
+    Program.make_exn
+      [
+        rule (atom "ga" [ v "X" ])
+          [ Literal.pos "e2" [ v "X" ]; Literal.neg "gbig" [ v "X" ] ];
+        rule (atom "gbig" [ v "X" ])
+          [
+            Literal.pos "e2" [ v "X" ];
+            Literal.count ~target:(v "Y") ~group_by:[] ~result:(v "N")
+              [ atom "ga" [ v "Y" ] ];
+            Literal.cmp Literal.Gt (v "N") (i 0);
+          ];
+        fact "e2" [ s "a" ];
+        fact "e2" [ s "b" ];
+      ]
+  in
+  (match Wellfounded.compute p (Database.create ()) with
+  | exception Eval.Diverged _ -> ()
+  | _ -> Alcotest.fail "Wellfounded.compute settled a 4-cycle");
+  match Engine.materialize p (Database.create ()) with
+  | exception Eval.Diverged _ -> ()
+  | _ -> Alcotest.fail "Engine.materialize settled a 4-cycle"
+
+(* An aggregate inside a component that climbs and then settles:
+   r(M) needs M <= |r| + 1, so each Γ adds two facts, and the sequence
+   reaches r(0..99) after about fifty Γ. No iterate repeats, so it is
+   never reported as a cycle, however long it climbs. *)
+let test_wellfounded_late_settle () =
+  let leaf t = Literal.Leaf t in
+  let p =
+    Program.make_exn
+      [
+        fact "r" [ i 0 ];
+        rule (atom "r" [ v "M" ])
+          [
+            Literal.pos "r" [ v "K" ];
+            Literal.assign (v "M") (Literal.Bin (Literal.Add, leaf (v "K"), leaf (i 1)));
+            Literal.cmp Literal.Lt (v "M") (i 100);
+            Literal.count ~target:(v "Y") ~group_by:[] ~result:(v "N")
+              [ atom "r" [ v "Y" ] ];
+            Literal.assign (v "L") (Literal.Bin (Literal.Add, leaf (v "N"), leaf (i 1)));
+            Literal.cmp Literal.Le (v "M") (v "L");
+          ];
+      ]
+  in
+  let expected = List.init 100 string_of_int |> List.sort String.compare in
+  let m = Wellfounded.compute p (Database.create ()) in
+  Alcotest.(check bool) "total" true (Wellfounded.is_total m);
+  Alcotest.(check (list string)) "Wellfounded.compute: r(0..99)" expected
+    (sorted_answers m.Wellfounded.true_facts "r" 1);
+  Alcotest.(check bool) "climbs for more than 40 Γ" true
+    (m.Wellfounded.alternations > 40);
+  Alcotest.(check (list string)) "Engine.materialize: r(0..99)" expected
+    (sorted_answers (Engine.materialize p (Database.create ())) "r" 1)
+
 (* -------------------------------------------------------------------- *)
 (* Query API *)
 
@@ -730,6 +789,10 @@ let suites =
         Alcotest.test_case "agrees with stratified" `Quick test_wellfounded_agrees_with_stratified;
         Alcotest.test_case "engine guard" `Quick test_engine_unstratified_guard;
         Alcotest.test_case "alternation counts" `Quick test_wellfounded_alternations;
+        Alcotest.test_case "unsettled alternation" `Quick
+          test_wellfounded_unsettled;
+        Alcotest.test_case "late settling alternation" `Quick
+          test_wellfounded_late_settle;
         Alcotest.test_case "loaded facts in a stratum" `Quick
           test_engine_loaded_facts_in_stratum;
       ] );

@@ -1,6 +1,6 @@
 (* Tests for the later additions: incremental maintenance
-   (Engine.maintain), conjunctive-query theory (Cq), the XSD plug-in, and
-   relation accesses in the federated planner. *)
+   (Engine.maintain), the XSD plug-in, and relation accesses in the
+   federated planner. *)
 
 open Logic
 open Datalog
@@ -109,73 +109,6 @@ let prop_extend_incremental =
           (Database.create ())
       in
       Database.cardinal scratch = Database.cardinal db)
-
-(* -------------------------------------------------------------------- *)
-(* Cq *)
-
-let cq h b = Cq.make_exn h b
-
-let test_cq_containment () =
-  (* q1: ans(X) :- e(X,Y), e(Y,Z).   q2: ans(X) :- e(X,Y). *)
-  let q1 =
-    cq (atom "ans" [ v "X" ]) [ atom "e" [ v "X"; v "Y" ]; atom "e" [ v "Y"; v "Z" ] ]
-  in
-  let q2 = cq (atom "ans" [ v "X" ]) [ atom "e" [ v "X"; v "Y" ] ] in
-  Alcotest.(check bool) "longer path contained in shorter" true
-    (Cq.contained_in q1 q2);
-  Alcotest.(check bool) "not conversely" false (Cq.contained_in q2 q1);
-  Alcotest.(check bool) "not equivalent" false (Cq.equivalent q1 q2)
-
-let test_cq_equivalence_renaming () =
-  let q1 = cq (atom "ans" [ v "X" ]) [ atom "e" [ v "X"; v "Y" ] ] in
-  let q2 = cq (atom "ans" [ v "A" ]) [ atom "e" [ v "A"; v "B" ] ] in
-  Alcotest.(check bool) "alpha-equivalent" true (Cq.equivalent q1 q2)
-
-let test_cq_minimize () =
-  (* redundant atom: e(X,Y), e(X,Y') with Y' unused folds onto Y *)
-  let q =
-    cq (atom "ans" [ v "X" ])
-      [ atom "e" [ v "X"; v "Y" ]; atom "e" [ v "X"; v "Y2" ] ]
-  in
-  let m = Cq.minimize q in
-  Alcotest.(check int) "one atom survives" 1 (List.length m.Cq.body);
-  Alcotest.(check bool) "still equivalent" true (Cq.equivalent q m);
-  Alcotest.(check bool) "q not minimal" false (Cq.is_minimal q);
-  Alcotest.(check bool) "m minimal" true (Cq.is_minimal m);
-  (* a genuine 2-path does not shrink *)
-  let p2 =
-    cq (atom "ans" [ v "X"; v "Z" ])
-      [ atom "e" [ v "X"; v "Y" ]; atom "e" [ v "Y"; v "Z" ] ]
-  in
-  Alcotest.(check bool) "2-path minimal" true (Cq.is_minimal p2)
-
-let test_cq_guards () =
-  (match Cq.make (atom "ans" [ v "X" ]) [] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unsafe head accepted");
-  (match Cq.make (atom "ans" [ Term.app "f" [ v "X" ] ]) [ atom "e" [ v "X" ] ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "function symbol accepted");
-  match
-    Cq.of_rule (rule (atom "p" [ v "X" ]) [ Literal.neg "q" [ v "X" ]; Literal.pos "e" [ v "X" ] ])
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negation accepted by of_rule"
-
-(* property: minimize yields an equivalent query *)
-let prop_minimize_equivalent =
-  let gen =
-    let open QCheck.Gen in
-    let var = oneofl [ "X"; "Y"; "Z"; "W" ] in
-    list_size (int_range 1 4)
-      (map2 (fun a b -> atom "e" [ v a; v b ]) var var)
-  in
-  QCheck.Test.make ~name:"minimize preserves equivalence" ~count:100
-    (QCheck.make gen)
-    (fun body ->
-      match Cq.make (atom "ans" [ v "X" ]) body with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok q -> Cq.equivalent q (Cq.minimize q))
 
 (* -------------------------------------------------------------------- *)
 (* XSD plug-in *)
@@ -299,14 +232,6 @@ let suites =
         Alcotest.test_case "maintained = rebuild" `Quick
           test_extend_negation_equals_rebuild;
         QCheck_alcotest.to_alcotest prop_extend_incremental;
-      ] );
-    ( "extensions.cq",
-      [
-        Alcotest.test_case "containment" `Quick test_cq_containment;
-        Alcotest.test_case "alpha equivalence" `Quick test_cq_equivalence_renaming;
-        Alcotest.test_case "minimize" `Quick test_cq_minimize;
-        Alcotest.test_case "guards" `Quick test_cq_guards;
-        QCheck_alcotest.to_alcotest prop_minimize_equivalent;
       ] );
     ( "extensions.xsd",
       [

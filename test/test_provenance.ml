@@ -225,9 +225,11 @@ let test_lav_invert_and_answer () =
   (* LAV source: v(X,Z) := e(X,Y), e(Y,Z) — stores 2-paths of a global
      edge relation. *)
   let view =
-    Mediation.Lav.view ~name:"v"
-      (Cq.make_exn (atom "q" [ v "X"; v "Z" ])
-         [ atom "e" [ v "X"; v "Y" ]; atom "e" [ v "Y"; v "Z" ] ])
+    Result.get_ok
+      (Mediation.Lav.view ~name:"v"
+         (rule
+            (atom "q" [ v "X"; v "Z" ])
+            [ Literal.pos "e" [ v "X"; v "Y" ]; Literal.pos "e" [ v "Y"; v "Z" ] ]))
   in
   let inv = Mediation.Lav.invert view in
   Alcotest.(check int) "one inverse rule per body atom" 2 (List.length inv);
@@ -278,6 +280,30 @@ let test_lav_obstacles () =
   | Some _ -> ()
   | None -> Alcotest.fail "negation must be flagged"
 
+(* Lav.view takes only a conjunctive query *)
+let test_lav_view_refusals () =
+  let refused label head body =
+    match Mediation.Lav.view ~name:"v" (rule head body) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s accepted" label
+  in
+  let e = Literal.pos "e" [ v "X"; v "Y" ] in
+  refused "head variable missing from the body" (atom "q" [ v "Z" ]) [ e ];
+  refused "empty body" (atom "q" [ v "X" ]) [];
+  refused "function symbol in the head"
+    (atom "q" [ Term.app "f" [ v "X" ] ])
+    [ e ];
+  refused "function symbol in the body" (atom "q" [ v "X" ])
+    [ Literal.pos "e" [ v "X"; Term.app "f" [ v "Y" ] ] ];
+  refused "negated literal" (atom "q" [ v "X" ])
+    [ e; Literal.neg "d" [ v "X" ] ];
+  refused "comparison" (atom "q" [ v "X" ])
+    [ e; Literal.cmp Literal.Lt (v "X") (v "Y") ];
+  refused "builtin" (atom "q" [ v "X" ])
+    [ e; Literal.pos "builtin:is_const" [ v "X" ] ];
+  Alcotest.(check bool) "a plain CQ is accepted" true
+    (Result.is_ok (Mediation.Lav.view ~name:"v" (rule (atom "q" [ v "X" ]) [ e ])))
+
 let suites =
   [
     ( "provenance.explain",
@@ -300,5 +326,6 @@ let suites =
       [
         Alcotest.test_case "invert and answer" `Quick test_lav_invert_and_answer;
         Alcotest.test_case "obstacles (paper's Discussion)" `Quick test_lav_obstacles;
+        Alcotest.test_case "view refusals" `Quick test_lav_view_refusals;
       ] );
   ]

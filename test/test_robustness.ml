@@ -105,7 +105,7 @@ let test_max_rounds_guard () =
         }
       p (Datalog.Database.create ())
   with
-  | exception Failure _ -> ()
+  | exception Datalog.Eval.Diverged _ -> ()
   | _ -> Alcotest.fail "expected rounds guard to fire"
 
 let test_depth_bound_tightness () =
