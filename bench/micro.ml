@@ -36,16 +36,22 @@ let t_tc =
     (Staged.stage (fun () ->
          ignore (Datalog.Engine.materialize p (Datalog.Database.create ()))))
 
+(* Domain-map closures are memoised per map value. [fresh dm] is a new
+   value with the same closures (one isolated concept more, ~0.2 µs), so
+   a run that takes it pays for computing them, as every call did before
+   the memo. *)
+let fresh dm = Domain_map.Dmap.add_concept dm "micro_fresh"
+
 let t_closure =
   let dm = Neuro.Anatom.sprawl ~concepts:200 ~seed:21 in
-  Test.make ~name:"F1: has_a_star on a 200-concept map"
-    (Staged.stage (fun () -> ignore (Domain_map.Closure.has_a_star dm)))
+  Test.make ~name:"F1: has_a_star on a 200-concept map (fresh map)"
+    (Staged.stage (fun () -> ignore (Domain_map.Closure.has_a_star (fresh dm))))
 
 let t_lub =
   let dm = Neuro.Anatom.full in
-  Test.make ~name:"Q5: lub of {purkinje_cell, spine}"
+  Test.make ~name:"Q5: lub of {purkinje_cell, spine} (fresh map)"
     (Staged.stage (fun () ->
-         ignore (Domain_map.Lub.lub_unique dm [ "purkinje_cell"; "spine" ])))
+         ignore (Domain_map.Lub.lub_unique (fresh dm) [ "purkinje_cell"; "spine" ])))
 
 let t_subsume =
   let tbox = Domain_map.Dmap.to_axioms Neuro.Anatom.fig1 in

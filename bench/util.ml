@@ -13,6 +13,20 @@ let time_median ?(reps = 5) f =
   in
   List.nth samples (reps / 2)
 
+(* median of [reps] runs of [f] on a fresh [setup ()] each,
+   milliseconds. [setup] and a full major collection run outside the
+   clock, so no run is charged for collecting what the previous ones
+   left behind. *)
+let time_median_fresh ?(reps = 5) setup f =
+  let samples =
+    List.init reps (fun _ ->
+        let x = setup () in
+        Gc.full_major ();
+        snd (time_once (fun () -> f x)))
+    |> List.sort compare
+  in
+  List.nth samples (reps / 2)
+
 (* minimum of [reps] runs, milliseconds — the robust estimator for
    pass/fail gates: scheduler noise only ever adds time, so the min is
    the closest sample to the true cost on a loaded CI box *)

@@ -624,11 +624,11 @@ let cost_cmd =
       | Error e -> prerr_endline e);
       Mediation.Lint.cost ?budget med
     in
+    let json_bound b =
+      match Card.finite b with None -> "null" | Some n -> string_of_int n
+    in
     let iv_json (i : Card.interval) =
-      Printf.sprintf "{\"lo\":%d,\"hi\":%s}" i.Card.lo
-        (match i.Card.hi with
-        | None -> "null"
-        | Some h -> string_of_int h)
+      Printf.sprintf "{\"lo\":%d,\"hi\":%s}" i.Card.lo (json_bound i.Card.hi)
     in
     let json_of_report (r : C.report) =
       let preds =
@@ -645,10 +645,7 @@ let cost_cmd =
                \"cross_products\":%d,\"recursive\":%b,\"growing\":%b}"
               (json_str (Logic.Rule.to_string rule))
               (String.concat "," (List.map string_of_int c.Card.order))
-              (iv_json c.Card.est)
-              (match c.Card.cost with
-              | None -> "null"
-              | Some n -> string_of_int n)
+              (iv_json c.Card.est) (json_bound c.Card.cost)
               c.Card.cross_products c.Card.recursive c.Card.growing)
           r.C.costs
       in
@@ -671,9 +668,9 @@ let cost_cmd =
           Format.printf "      order [%s]  est %a%s%s%s@."
             (String.concat " " (List.map string_of_int c.Card.order))
             Card.pp_interval c.Card.est
-            (match c.Card.cost with
+            (match Card.finite c.Card.cost with
             | Some o -> Printf.sprintf "  cost %d" o
-            | None -> "")
+            | None -> "  cost unbounded")
             (if c.Card.cross_products > 0 then "  [cross-product]" else "")
             (if c.Card.growing then "  [unbounded growth]" else ""))
         r.C.costs;

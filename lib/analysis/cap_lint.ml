@@ -339,35 +339,12 @@ let feasibility ~sources ~class_targets ?label lits =
 (* ------------------------------------------------------------------ *)
 (* Template hygiene *)
 
-let template_placeholders body =
-  (* occurrences of $name in the template body *)
-  let n = String.length body in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    if body.[!i] = '$' then begin
-      let j = ref (!i + 1) in
-      while
-        !j < n
-        && (match body.[!j] with
-           | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
-           | _ -> false)
-      do
-        incr j
-      done;
-      if !j > !i + 1 then out := String.sub body (!i + 1) (!j - !i - 1) :: !out;
-      i := !j
-    end
-    else incr i
-  done;
-  List.sort_uniq String.compare !out
-
 let lint_templates info =
   List.concat_map
     (fun cap ->
       match cap with
       | Capability.Template { name; params; body } ->
-        let used = template_placeholders body in
+        let used = Capability.placeholders body in
         let loc = D.Source info.name in
         List.filter_map
           (fun p ->

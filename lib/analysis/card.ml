@@ -48,8 +48,12 @@ let opt_gt a n = match a with None -> true | Some a -> a > n
 
 type interval = { lo : int; hi : int option }
 
+(* A saturated bound is sound but says nothing, so it is reported as
+   an unbounded one. *)
+let finite = function Some n when n < huge -> Some n | _ -> None
+
 let pp_interval ppf { lo; hi } =
-  match hi with
+  match finite hi with
   | Some hi -> Format.fprintf ppf "[%d, %d]" lo hi
   | None -> Format.fprintf ppf "[%d, ∞]" lo
 

@@ -37,12 +37,19 @@ type interval = { lo : int; hi : int option }
 (** [hi = None] means unbounded. *)
 
 val pp_interval : Format.formatter -> interval -> unit
+(** Prints a saturated upper bound as unbounded ([∞]), like
+    [hi = None]. *)
 
 val contains : interval -> int -> bool
 
 val huge : int
 (** Finite saturation point of the interval arithmetic
     ([max_int / 4]). *)
+
+val finite : int option -> int option
+(** A bound worth quoting: [None] for an unbounded bound and for one
+    that saturated at {!huge} — sound, but no useful bound. Reports
+    (text, JSON, diagnostics) print bounds through it. *)
 
 (** {1 Per-rule cost} *)
 

@@ -14,8 +14,6 @@ type report = {
 
 let empty = { diags = []; intervals = []; costs = [] }
 
-let pp_hi = function None -> "unbounded" | Some h -> string_of_int h
-
 (* A non-recursive rule whose worst case dwarfs its inputs: the join is
    building a product, not following keys. The floor keeps tiny
    programs (where 3 x 4 x 5 is fine) quiet. *)
@@ -26,18 +24,25 @@ let rule_diags ~budget ~loc i r (c : Card.rule_cost) =
   let mk ?hint severity code msg =
     D.make ?hint ~severity ~pass ~code ~location:(loc i r) msg
   in
+  (* Messages quote a bound saturated at [Card.huge] as unbounded; the
+     blowup test still reads the raw bound, so a saturated product over
+     finite inputs warns. *)
+  let hi = Card.finite c.Card.est.Card.hi in
+  let rows =
+    match hi with Some h -> Printf.sprintf "%d rows" h | None -> "unbounded"
+  in
   let cross =
     if c.Card.cross_products > 0 then
       [
         mk D.Warning "cross-product-join"
           (Printf.sprintf
              "%d join step%s share%s no bound variable with the literals \
-              before %s (cross product); worst case %s rows"
+              before %s (cross product); worst case %s"
              c.Card.cross_products
              (if c.Card.cross_products = 1 then "" else "s")
              (if c.Card.cross_products = 1 then "s" else "")
              (if c.Card.cross_products = 1 then "it" else "them")
-             (pp_hi c.Card.est.Card.hi))
+             rows)
           ~hint:
             "add a join condition linking the scans, or split the rule — \
              every pair (triple, ...) of rows is materialized otherwise";
@@ -65,9 +70,9 @@ let rule_diags ~budget ~loc i r (c : Card.rule_cost) =
       [
         mk D.Warning "super-linear-blowup"
           (Printf.sprintf
-             "worst-case result (%d rows) is super-linear in the rule's \
+             "worst-case result (%s) is super-linear in the rule's \
               inputs (%d rows summed over body predicates)"
-             est inputs)
+             rows inputs)
           ~hint:
             "the body joins multiply instead of filtering; check for \
              missing key joins or push a selection into the body";
@@ -75,7 +80,7 @@ let rule_diags ~budget ~loc i r (c : Card.rule_cost) =
     | _ -> []
   in
   let over =
-    match (budget, c.Card.est.Card.hi) with
+    match (budget, hi) with
     | Some b, Some est when est > b ->
       [
         mk D.Error "over-budget"

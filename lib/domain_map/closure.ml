@@ -40,12 +40,6 @@ let tc pairs =
 let links ?(include_possible = false) (l : Dmap.links) =
   if include_possible then l.Dmap.definite @ l.Dmap.possible else l.Dmap.definite
 
-let isa_tc ?include_possible dm =
-  let isa = links ?include_possible (Dmap.isa_links dm) in
-  let eqv = Dmap.eqv_links dm in
-  let sym = List.concat_map (fun (a, b) -> [ (a, b); (b, a) ]) eqv in
-  tc (isa @ sym)
-
 let dc ~isa_tc pairs =
   let up = adjacency isa_tc in
   (* down: X isa* Z, R(Z,Y) => R links inherited by specialisations. *)
@@ -91,12 +85,91 @@ let dc_down ~isa_tc pairs =
     pairs;
   List.sort_uniq compare !acc
 
-let traversal ?include_possible ?(role = "has") dm =
-  let isa = isa_tc ?include_possible dm in
-  let base = links ?include_possible (Dmap.role_links dm role) in
-  let star_down = dc_down ~isa_tc:isa base in
-  let isa_down = List.map (fun (a, b) -> (b, a)) isa in
-  List.sort_uniq compare (star_down @ isa_down)
+let reachable pairs start =
+  let next = adjacency pairs in
+  SS.elements (reachable_set next start)
+
+(* ------------------------------------------------------------------ *)
+(* Closures computed once per map value.
+
+   A [Dmap.t] is immutable: every edit returns a new value. The
+   closures of a map are therefore memoised on the map's physical
+   identity, and no edit can make them stale — an edited map is a
+   different key. One slot (per [include_possible] value) is enough:
+   a mediator reads its one current map, and a call on another map
+   refills the slot. Within one map value, each role's traversal and
+   each root's region are filled on first request. *)
+
+(* [a -> sorted, duplicate-free bs] over the pairs (a, b); with
+   [reflexive], each list also holds its key. *)
+let group ?(reflexive = false) pairs =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (a, b) ->
+      let l = Option.value ~default:[] (Hashtbl.find_opt tbl a) in
+      Hashtbl.replace tbl a (b :: l))
+    pairs;
+  Hashtbl.filter_map_inplace
+    (fun a l ->
+      Some (List.sort_uniq String.compare (if reflexive then a :: l else l)))
+    tbl;
+  tbl
+
+type role_closure = {
+  traversal : pairs;
+  next : (string, string list) Hashtbl.t;  (* sorted successors *)
+  regions : (string, string list) Hashtbl.t;  (* root -> its region *)
+}
+
+type view = {
+  isa : pairs;  (* the isa closure, eqv edges both ways *)
+  up : (string, string list) Hashtbl.t Lazy.t;  (* c -> ancestors, c included *)
+  down : (string, string list) Hashtbl.t Lazy.t;  (* c -> descendants, c included *)
+  roles : (string, role_closure) Hashtbl.t;
+}
+
+let definite_view : (Dmap.t * view) option ref = ref None
+let possible_view : (Dmap.t * view) option ref = ref None
+
+let view ?(include_possible = false) dm =
+  let slot = if include_possible then possible_view else definite_view in
+  match !slot with
+  | Some (k, v) when k == dm -> v
+  | _ ->
+    let isa =
+      let eqv = Dmap.eqv_links dm in
+      tc
+        (links ~include_possible (Dmap.isa_links dm)
+        @ List.concat_map (fun (a, b) -> [ (a, b); (b, a) ]) eqv)
+    in
+    let v =
+      {
+        isa;
+        up = lazy (group ~reflexive:true isa);
+        down = lazy (group ~reflexive:true (List.map (fun (a, b) -> (b, a)) isa));
+        roles = Hashtbl.create 4;
+      }
+    in
+    slot := Some (dm, v);
+    v
+
+let role_closure ?include_possible ?(role = "has") dm =
+  let v = view ?include_possible dm in
+  match Hashtbl.find_opt v.roles role with
+  | Some r -> r
+  | None ->
+    let base = links ?include_possible (Dmap.role_links dm role) in
+    let star_down = dc_down ~isa_tc:v.isa base in
+    let isa_down = List.map (fun (a, b) -> (b, a)) v.isa in
+    let traversal = List.sort_uniq compare (star_down @ isa_down) in
+    let r = { traversal; next = group traversal; regions = Hashtbl.create 16 } in
+    Hashtbl.add v.roles role r;
+    r
+
+let isa_tc ?include_possible dm = (view ?include_possible dm).isa
+
+let traversal ?include_possible ?role dm =
+  (role_closure ?include_possible ?role dm).traversal
 
 let role_dc ?include_possible dm ~role =
   let base = links ?include_possible (Dmap.role_links dm role) in
@@ -105,42 +178,27 @@ let role_dc ?include_possible dm ~role =
 let has_a_star ?include_possible ?(role = "has") dm =
   role_dc ?include_possible dm ~role
 
-let reachable pairs start =
-  let next = adjacency pairs in
-  SS.elements (reachable_set next start)
+let cone tbl c = match Hashtbl.find_opt tbl c with Some l -> l | None -> [ c ]
 
-let descendants dm c =
-  let isa = isa_tc dm in
-  c
-  :: List.filter_map (fun (a, b) -> if String.equal b c then Some a else None) isa
-  |> List.sort_uniq String.compare
+let descendants dm =
+  let down = Lazy.force (view dm).down in
+  fun c -> cone down c
 
-let ancestors dm c =
-  let isa = isa_tc dm in
-  c
-  :: List.filter_map (fun (a, b) -> if String.equal a c then Some b else None) isa
-  |> List.sort_uniq String.compare
+let ancestors dm =
+  let up = Lazy.force (view dm).up in
+  fun c -> cone up c
 
-let cones dm =
-  (* one isa closure, then per-concept cones memoized — the
-     descendant-cone oracle abstract interpretation widens with
-     (Analysis.Absint.cones) asks for the same few cones repeatedly *)
-  let isa = lazy (isa_tc dm) in
-  let cache : (string, string list) Hashtbl.t = Hashtbl.create 32 in
-  fun c ->
-    match Hashtbl.find_opt cache c with
-    | Some cone -> cone
+let successors ?include_possible ?role dm =
+  let r = role_closure ?include_possible ?role dm in
+  fun c -> Option.value ~default:[] (Hashtbl.find_opt r.next c)
+
+let region ?include_possible ?role dm =
+  let r = role_closure ?include_possible ?role dm in
+  fun root ->
+    match Hashtbl.find_opt r.regions root with
+    | Some members -> members
     | None ->
-      let cone =
-        c
-        :: List.filter_map
-             (fun (a, b) -> if String.equal b c then Some a else None)
-             (Lazy.force isa)
-        |> List.sort_uniq String.compare
-      in
-      Hashtbl.add cache c cone;
-      cone
-
-let successors pairs n =
-  List.filter_map (fun (a, b) -> if String.equal a n then Some b else None) pairs
-  |> List.sort_uniq String.compare
+      let next c = Option.value ~default:[] (Hashtbl.find_opt r.next c) in
+      let members = SS.elements (reachable_set next root) in
+      Hashtbl.add r.regions root members;
+      members

@@ -21,7 +21,16 @@
 
     All functions operate on named-concept links with anonymous nodes
     already resolved ({!Dmap.isa_links}); by default only definite links
-    are used, [include_possible] adds OR alternatives. *)
+    are used, [include_possible] adds OR alternatives.
+
+    The closures of a map — the isa closure with each concept's
+    ancestors and descendants, each role's traversal relation with its
+    successor lists, and each root's downward region — are computed
+    once per map value and memoised on its physical identity. A
+    [Dmap.t] is immutable (an edit returns a new value), so a memoised
+    closure can never be stale. The memo holds the closures of the last
+    map asked about (one slot with, one without possible links); a call
+    on another map recomputes them and takes the slot. *)
 
 type pairs = (string * string) list
 
@@ -30,7 +39,8 @@ val tc : pairs -> pairs
     unless the input has cycles). *)
 
 val isa_tc : ?include_possible:bool -> Dmap.t -> pairs
-(** [tc] of the isa links, eqv edges contributing both directions. *)
+(** [tc] of the isa links, eqv edges contributing both directions;
+    sorted. Memoised per map value. *)
 
 val dc : isa_tc:pairs -> pairs -> pairs
 (** Deductive closure of a relation w.r.t. a precomputed isa closure:
@@ -38,7 +48,7 @@ val dc : isa_tc:pairs -> pairs -> pairs
     subclass) and up (target generalised). *)
 
 val role_dc : ?include_possible:bool -> Dmap.t -> role:string -> pairs
-(** [dc] of one role's links. *)
+(** [dc] of one role's links (over the memoised {!isa_tc}). *)
 
 val has_a_star : ?include_possible:bool -> ?role:string -> Dmap.t -> pairs
 (** The paper's [has_a_star]: [dc] of the [has] role (override with
@@ -55,7 +65,8 @@ val dc_down : isa_tc:pairs -> pairs -> pairs
 val traversal : ?include_possible:bool -> ?role:string -> Dmap.t -> pairs
 (** The downward-traversal relation: [dc_down] of the part-of role
     (default ["has"]) plus isa descent (from a concept to its
-    specialisations). Drives {!Region} and the aggregate operator. *)
+    specialisations); sorted. Drives {!Region} and the aggregate
+    operator. Memoised per map value and role. *)
 
 val reachable : pairs -> string -> string list
 (** Nodes reachable from a start node by recursively traversing direct
@@ -63,16 +74,24 @@ val reachable : pairs -> string -> string list
     start node; sorted. *)
 
 val descendants : Dmap.t -> string -> string list
-(** Concepts [d] with [d isa* c], including [c]; sorted. *)
-
-val ancestors : Dmap.t -> string -> string list
-
-val cones : Dmap.t -> string -> string list
-(** Memoizing variant of {!descendants}: the isa closure is computed
-    once and each concept's cone on first request. This is the
-    [members] half of the abstract-interpretation cone oracle
+(** Concepts [d] with [d isa* c], including [c]; sorted. Read from the
+    map's memoised closure, so [descendants dm] can be applied to many
+    concepts at the cost of one memo lookup. It is also the [members]
+    half of the abstract-interpretation cone oracle
     ([Analysis.Absint.cones]) — concept cones are the domain map's
     "semantic coordinate system" used as abstract values. *)
 
-val successors : pairs -> string -> string list
-(** Direct successors in a link set; sorted. *)
+val ancestors : Dmap.t -> string -> string list
+(** Concepts [a] with [c isa* a], including [c]; sorted. Memoised like
+    {!descendants}. *)
+
+val successors :
+  ?include_possible:bool -> ?role:string -> Dmap.t -> string -> string list
+(** Direct successors of a concept in the {!traversal} relation; sorted.
+    The lists are built once per map value and role. *)
+
+val region :
+  ?include_possible:bool -> ?role:string -> Dmap.t -> string -> string list
+(** The downward region of a root: {!reachable} over the {!traversal}
+    relation, root included; sorted. Each root's region is computed on
+    first request and then memoised with the map. *)

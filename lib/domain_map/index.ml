@@ -45,16 +45,14 @@ let sources_for dm t ~concepts =
   List.concat_map (fun c -> sources_at dm t ~concept:c) concepts
   |> List.sort_uniq String.compare
 
-(* Traversal region of a context concept (Region.downward semantics,
-   invoked through Closure to keep Index below Region in the module
-   order). *)
-let context_region dm ctx = Closure.reachable (Closure.traversal dm) ctx
-
+(* A context concept's traversal region is Region.downward's members,
+   read through Closure to keep Index below Region in the module
+   order. *)
 let context_compatible dm a query_concept =
   a.context = []
   || List.exists
        (fun ctx ->
-         List.mem query_concept (context_region dm ctx)
+         List.mem query_concept (Closure.region dm ctx)
          || String.equal ctx query_concept)
        a.context
 

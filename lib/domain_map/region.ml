@@ -1,7 +1,6 @@
 type t = { root : string; members : string list }
 
-let downward dm ?role ~root () =
-  { root; members = Closure.reachable (Closure.traversal ?role dm) root }
+let downward dm ?role ~root () = { root; members = Closure.region ?role dm root }
 
 let covers region cs = List.for_all (fun c -> List.mem c region.members) cs
 
@@ -11,20 +10,17 @@ let of_concepts dm ?role cs =
      tightest traversal root: the concept whose downward region covers
      all of them and is smallest. Section 5 only needs "a reasonable
      root for the neuron-compartment pairs". *)
-  let from_lub =
-    match Lub.lub_unique dm cs with
-    | Some root ->
-      let r = downward dm ?role ~root () in
-      if covers r cs then Some r else None
-    | None -> None
+  let region = Closure.region ?role dm in
+  let covering root =
+    let r = { root; members = region root } in
+    if covers r cs then Some r else None
   in
+  let from_lub = Option.bind (Lub.lub_unique dm cs) covering in
   match from_lub with
   | Some r -> Some r
   | None ->
     Dmap.concepts dm
-    |> List.filter_map (fun root ->
-           let r = downward dm ?role ~root () in
-           if covers r cs then Some r else None)
+    |> List.filter_map covering
     |> List.sort (fun a b ->
            compare
              (List.length a.members, a.root)

@@ -8,11 +8,7 @@ type tree = {
 }
 
 let distribution dm ~root ~measure =
-  let next = Closure.traversal dm in
-  let successors c =
-    List.filter_map (fun (a, b) -> if String.equal a c then Some b else None) next
-    |> List.sort_uniq String.compare
-  in
+  let successors = Closure.successors dm in
   let visited = Hashtbl.create 64 in
   let rec go concept =
     Hashtbl.add visited concept ();

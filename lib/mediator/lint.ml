@@ -70,7 +70,7 @@ let federation m =
   let template_diags = List.concat_map A.Cap_lint.lint_templates infos in
   let cones =
     {
-      A.Absint.members = Domain_map.Closure.cones dm;
+      A.Absint.members = Domain_map.Closure.descendants dm;
       lub = (fun cs -> Domain_map.Lub.lub_unique dm cs);
     }
   in

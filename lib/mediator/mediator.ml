@@ -449,9 +449,10 @@ let cardinality_seed t =
         (Wrapper.Store.relations store))
     t.sources;
   let concepts = Dmap.concepts t.dmap in
+  let descendants = Domain_map.Closure.descendants t.dmap in
   let cone_pairs =
     List.fold_left
-      (fun acc c -> acc + List.length (Domain_map.Closure.cones t.dmap c))
+      (fun acc c -> acc + List.length (descendants c))
       0 concepts
   in
   let n = List.length concepts in
@@ -625,7 +626,7 @@ let gather_facts t =
 let prune_hook t rules db =
   let cones =
     {
-      Analysis.Absint.members = Domain_map.Closure.cones t.dmap;
+      Analysis.Absint.members = Domain_map.Closure.descendants t.dmap;
       lub = (fun cs -> Domain_map.Lub.lub_unique t.dmap cs);
     }
   in

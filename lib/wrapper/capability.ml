@@ -13,6 +13,41 @@ let select_class ~cls ~on = Select_class { cls; on }
 let bind_relation ~rel ~pattern = Bind_relation { rel; pattern }
 let template ~name ~params ~body = Template { name; params; body }
 
+(* Cut a template body at its placeholders — a [$] and the maximal run
+   of letters, digits and underscores after it — calling [text] on the
+   runs between them and [param] on each placeholder's name. *)
+let scan body ~text ~param =
+  let n = String.length body in
+  let ident = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+    | _ -> false
+  in
+  let rec go start i =
+    if i >= n then text (String.sub body start (n - start))
+    else if body.[i] = '$' && i + 1 < n && ident body.[i + 1] then begin
+      let j = ref (i + 1) in
+      while !j < n && ident body.[!j] do
+        incr j
+      done;
+      text (String.sub body start (i - start));
+      param (String.sub body (i + 1) (!j - i - 1));
+      go !j !j
+    end
+    else go start (i + 1)
+  in
+  go 0 0
+
+let placeholders body =
+  let ps = ref [] in
+  scan body ~text:ignore ~param:(fun p -> ps := p :: !ps);
+  List.sort_uniq String.compare !ps
+
+let instantiate body arg =
+  let b = Buffer.create (String.length body) in
+  scan body ~text:(Buffer.add_string b) ~param:(fun p ->
+      Buffer.add_string b (match arg p with Some s -> s | None -> "$" ^ p));
+  Buffer.contents b
+
 let can_scan_class caps c =
   List.exists
     (function

@@ -56,4 +56,16 @@ val over_advertise :
 
 val find_template : t list -> string -> t option
 
+val placeholders : string -> string list
+(** The parameters a template body interpolates: each [$] followed by a
+    maximal run of letters, digits and underscores; sorted, without
+    duplicates. *)
+
+val instantiate : string -> (string -> string option) -> string
+(** [instantiate body arg] replaces each whole placeholder [$p] of
+    [body] by [arg p] when that is [Some], in one pass over [body]:
+    spliced text is never scanned again, so [$loc] leaves [$loc2]
+    alone and the result does not depend on the order of the
+    arguments. *)
+
 val pp : Format.formatter -> t -> unit

@@ -103,33 +103,9 @@ let run_template t ~name:tpl_name ~args =
         (Unsupported
            (Printf.sprintf "template %s: missing argument $%s" tpl_name p))
     | None -> ());
-    (* splice $param -> term text *)
     let spliced =
-      List.fold_left
-        (fun body (p, v) ->
-          let needle = "$" ^ p in
-          let rec replace s =
-            match
-              (* simple substring replace *)
-              let len = String.length needle in
-              let n = String.length s in
-              let rec find i =
-                if i + len > n then None
-                else if String.sub s i len = needle then Some i
-                else find (i + 1)
-              in
-              find 0
-            with
-            | Some i ->
-              replace
-                (String.sub s 0 i
-                ^ Term.to_string v
-                ^ String.sub s (i + String.length needle)
-                    (String.length s - i - String.length needle))
-            | None -> s
-          in
-          replace body)
-        body args
+      Capability.instantiate body (fun p ->
+          Option.map Term.to_string (List.assoc_opt p args))
     in
     (match
        Flogic.Fl_parser.parse_query ~signature:(Store.signature t.store) spliced

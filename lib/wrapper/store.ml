@@ -60,9 +60,17 @@ type obj = { id : Logic.Term.t; values : (string * Logic.Term.t) list }
 
 type selection = string * Literal.cmp * Logic.Term.t
 
+(* Reads look rows up in the relation indexes of the store's database,
+   sorted as [Datalog.Engine.answers] sorts them. *)
+let rows t pred ~pos key =
+  match Database.relation_opt t.db pred with
+  | None -> []
+  | Some r -> List.sort Datalog.Tuple.compare (Datalog.Relation.lookup r ~pos key)
+
+let members t ~cls = rows t isa_d ~pos:1 (Term.sym cls)
+
 let values_of t id =
-  Datalog.Engine.answers t.db
-    (Atom.make meth_val_d [ id; Term.var "M"; Term.var "V" ])
+  rows t meth_val_d ~pos:0 id
   |> List.filter_map (fun tup ->
          match tup with
          | [ _; m; v ] -> Option.map (fun m -> (m, v)) (Term.as_string m)
@@ -76,7 +84,7 @@ let satisfies values (meth, op, rhs) =
     values
 
 let instances t ~cls ~selections =
-  Datalog.Engine.answers t.db (Atom.make isa_d [ Term.var "X"; Term.sym cls ])
+  members t ~cls
   |> List.filter_map (fun tup ->
          match tup with
          | [ id; _ ] ->
@@ -102,17 +110,22 @@ let tuples t ~rel ~pattern =
     | None -> []
     | Some r -> Datalog.Relation.select r ~pattern:pat)
 
-let object_count t ~cls =
-  List.length
-    (Datalog.Engine.answers t.db (Atom.make isa_d [ Term.var "X"; Term.sym cls ]))
+let object_count t ~cls = List.length (members t ~cls)
 
 let tuple_count t ~rel = Database.count t.db rel
 
 let classes t =
-  Datalog.Engine.answers t.db (Atom.make isa_d [ Term.var "X"; Term.var "C" ])
-  |> List.filter_map (fun tup ->
-         match tup with [ _; c ] -> Term.as_string c | _ -> None)
-  |> List.sort_uniq String.compare
+  match Database.relation_opt t.db isa_d with
+  | None -> []
+  | Some r ->
+    Datalog.Relation.fold
+      (fun tup acc ->
+        match tup with
+        | [ _; c ] -> (
+          match Term.as_string c with Some c -> c :: acc | None -> acc)
+        | _ -> acc)
+      r []
+    |> List.sort_uniq String.compare
 
 let relations t = Signature.relations t.sg
 

@@ -188,6 +188,46 @@ let lint_codes () =
        (fun d -> d.D.code = "over-budget" && d.D.severity = D.Error)
        budgeted)
 
+(* A bound that saturated at Card.huge is sound but says nothing: the
+   reports print it as unbounded, never as the saturation value. *)
+let saturated_bounds () =
+  let rules =
+    [
+      Rule.make (Atom.make "pairs" [ v "X"; v "Y" ])
+        [ Literal.pos "ext1" [ v "X" ]; Literal.pos "ext2" [ v "Y" ] ];
+    ]
+  in
+  let open_pred p = p = "ext1" || p = "ext2" in
+  let seed p = if open_pred p then Some (iv 0 (Some (1 lsl 40))) else None in
+  let est = Card.card (Card.analyze ~assume_nonempty:open_pred ~seed rules) "pairs" in
+  check_iv "the product saturates" (iv 0 (Some Card.huge)) est;
+  Alcotest.(check (option int)) "no finite bound" None (Card.finite est.Card.hi);
+  Alcotest.(check (option int)) "a real bound stays" (Some 42) (Card.finite (Some 42));
+  Alcotest.(check string) "printed as unbounded" "[0, ∞]"
+    (Format.asprintf "%a" Card.pp_interval est);
+  let message code =
+    match
+      List.find_opt
+        (fun d -> d.D.code = code)
+        (Cost_lint.lint ~assume_nonempty:open_pred ~seed ~budget:100 rules)
+    with
+    | Some d -> d.D.message
+    | None -> Alcotest.failf "no %s diagnostic" code
+  in
+  let ends_with suffix m =
+    let n = String.length m and k = String.length suffix in
+    n >= k && String.sub m (n - k) k = suffix
+  in
+  Alcotest.(check bool) "cross product: worst case unbounded" true
+    (ends_with "(cross product); worst case unbounded"
+       (message "cross-product-join"));
+  Alcotest.(check string) "over budget: unbounded wording"
+    "estimated result is unbounded; a budget of 100 is configured"
+    (message "over-budget");
+  Alcotest.(check bool) "blowup still reported, worst case unbounded" true
+    (String.starts_with ~prefix:"worst-case result (unbounded) is super-linear"
+       (message "super-linear-blowup"))
+
 let normalize_deterministic () =
   let mk sev pass code msg =
     D.make ~severity:sev ~pass ~code
@@ -343,6 +383,8 @@ let suites =
           seeds_and_caps;
         Alcotest.test_case "cross products in the cost model" `Quick cost_model;
         Alcotest.test_case "lint codes and budget escalation" `Quick lint_codes;
+        Alcotest.test_case "saturated bounds print as unbounded" `Quick
+          saturated_bounds;
         Alcotest.test_case "normalize is deterministic" `Quick
           normalize_deterministic;
         Alcotest.test_case "broken.flp cost goldens" `Quick broken_goldens;

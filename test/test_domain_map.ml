@@ -366,6 +366,236 @@ let test_instance_level_execution () =
   Alcotest.(check bool) "placeholder spine exists" true
     (List.exists Dl.Translate.is_placeholder spines)
 
+(* -------------------------------------------------------------------- *)
+(* Closures memoised per map value, against from-scratch references *)
+
+module SS = Set.Make (String)
+
+(* The references recompute everything from the map's edge lists and
+   share no code with Closure's memo. *)
+let ref_reach pairs root =
+  let adj = Hashtbl.create 64 in
+  List.iter (fun (a, b) -> Hashtbl.add adj a b) pairs;
+  let rec go seen n =
+    if SS.mem n seen then seen
+    else List.fold_left go (SS.add n seen) (Hashtbl.find_all adj n)
+  in
+  SS.elements (go SS.empty root)
+
+let ref_links ~possible (l : Dmap.links) =
+  if possible then l.Dmap.definite @ l.Dmap.possible else l.Dmap.definite
+
+let ref_isa ?(possible = false) dm =
+  let base =
+    ref_links ~possible (Dmap.isa_links dm)
+    @ List.concat_map (fun (a, b) -> [ (a, b); (b, a) ]) (Dmap.eqv_links dm)
+  in
+  List.sort_uniq compare (List.map fst base)
+  |> List.concat_map (fun a ->
+         List.filter_map
+           (fun b -> if String.equal a b then None else Some (a, b))
+           (ref_reach base a))
+  |> List.sort_uniq compare
+
+let ref_traversal ?(possible = false) dm =
+  let isa = ref_isa ~possible dm in
+  let base = ref_links ~possible (Dmap.role_links dm "has") in
+  let inherited =
+    List.concat_map
+      (fun (z, y) ->
+        (z, y)
+        :: List.filter_map (fun (x, z') -> if z' = z then Some (x, y) else None) isa)
+      base
+  in
+  List.sort_uniq compare (inherited @ List.map (fun (a, b) -> (b, a)) isa)
+
+let ref_down isa c =
+  List.sort_uniq compare
+    (c :: List.filter_map (fun (a, b) -> if b = c then Some a else None) isa)
+
+let ref_up isa c =
+  List.sort_uniq compare
+    (c :: List.filter_map (fun (a, b) -> if a = c then Some b else None) isa)
+
+let ref_lub_unique isa cs =
+  match List.map (fun c -> SS.of_list (ref_up isa c)) cs with
+  | [] -> None
+  | s :: rest -> (
+    let common = SS.elements (List.fold_left SS.inter s rest) in
+    let below a b = a <> b && List.mem b (ref_up isa a) in
+    let size c = List.length (ref_down isa c) in
+    match
+      List.filter (fun c -> not (List.exists (fun c' -> below c' c) common)) common
+    with
+    | [] -> None
+    | cands ->
+      Some (List.hd (List.sort (fun a b -> compare (size a, a) (size b, b)) cands)))
+
+let ref_of_concepts dm ~isa ~trav cs =
+  let downward root = { Region.root; members = ref_reach trav root } in
+  let covering root =
+    let r = downward root in
+    if List.for_all (fun c -> List.mem c r.Region.members) cs then Some r
+    else None
+  in
+  match Option.bind (ref_lub_unique isa cs) covering with
+  | Some r -> Some r
+  | None -> (
+    match
+      List.filter_map covering (Dmap.concepts dm)
+      |> List.sort (fun a b ->
+             compare
+               (List.length a.Region.members, a.Region.root)
+               (List.length b.Region.members, b.Region.root))
+    with
+    | r :: _ -> Some r
+    | [] -> None)
+
+let ref_sources_for_pairs ~isa ~trav index pairs =
+  let anchors = Index.anchors index in
+  let covering c =
+    let below = ref_down isa c in
+    List.filter (fun a -> List.mem a.Index.concept below) anchors
+  in
+  let compatible a q =
+    a.Index.context = []
+    || List.exists
+         (fun ctx -> List.mem q (ref_reach trav ctx) || ctx = q)
+         a.Index.context
+  in
+  List.concat_map
+    (fun (n, c) ->
+      List.filter_map
+        (fun a -> if compatible a n then Some a.Index.source else None)
+        (covering c @ covering n))
+    pairs
+  |> List.sort_uniq compare
+
+let ref_distribution ~trav ~root ~measure =
+  let succ c =
+    List.sort_uniq compare
+      (List.filter_map (fun (a, b) -> if a = c then Some b else None) trav)
+  in
+  let visited = Hashtbl.create 64 in
+  let rec go concept =
+    Hashtbl.add visited concept ();
+    let own = List.fold_left ( +. ) 0.0 (measure concept) in
+    let children =
+      List.filter_map
+        (fun c -> if Hashtbl.mem visited c then None else Some (go c))
+        (succ concept)
+    in
+    let total =
+      List.fold_left (fun t ch -> t +. ch.Mediation.Aggregate.total) own children
+    in
+    { Mediation.Aggregate.concept; own; total; children }
+  in
+  go root
+
+let memo_maps () =
+  let fig3 =
+    match Register.register Neuro.Anatom.fig3_base Neuro.Anatom.fig3_registration with
+    | Ok out -> out.Register.dmap
+    | Error e -> Alcotest.failf "fig3 registration: %s" e
+  in
+  [
+    ("fig1", Neuro.Anatom.fig1);
+    ("full", Neuro.Anatom.full);
+    ("fig3 base", Neuro.Anatom.fig3_base);
+    ("fig3 registered", fig3);
+  ]
+  @ List.map
+      (fun (concepts, seed) ->
+        ( Printf.sprintf "sprawl %d/%d" concepts seed,
+          Neuro.Anatom.sprawl ~concepts ~seed ))
+      [ (20, 1); (60, 2); (60, 3); (150, 4) ]
+
+let sample rng xs k = List.init k (fun _ -> List.nth xs (Random.State.int rng (List.length xs)))
+
+(* Each memoised operation is called twice (the fill, then a hit) and
+   must equal the reference both times. *)
+let test_memo_matches_reference () =
+  let pairs = Alcotest.(list (pair string string)) in
+  let strings = Alcotest.(list string) in
+  let region = Alcotest.(option (pair string (list string))) in
+  let of_region = Option.map (fun r -> (r.Region.root, r.Region.members)) in
+  List.iter
+    (fun (name, dm) ->
+      let rng = Random.State.make [| Hashtbl.hash name |] in
+      let isa = ref_isa dm and trav = ref_traversal dm in
+      let concepts = Dmap.concepts dm in
+      for _ = 1 to 2 do
+        Alcotest.check pairs (name ^ ": isa_tc") isa (Closure.isa_tc dm);
+        Alcotest.check pairs (name ^ ": isa_tc with possible")
+          (ref_isa ~possible:true dm)
+          (Closure.isa_tc ~include_possible:true dm);
+        Alcotest.check pairs (name ^ ": traversal") trav (Closure.traversal dm);
+        Alcotest.check pairs (name ^ ": traversal with possible")
+          (ref_traversal ~possible:true dm)
+          (Closure.traversal ~include_possible:true dm);
+        List.iter
+          (fun c ->
+            Alcotest.check strings (name ^ ": descendants " ^ c) (ref_down isa c)
+              (Closure.descendants dm c);
+            Alcotest.check strings (name ^ ": ancestors " ^ c) (ref_up isa c)
+              (Closure.ancestors dm c);
+            Alcotest.check strings (name ^ ": downward " ^ c) (ref_reach trav c)
+              (Region.downward dm ~root:c ()).Region.members)
+          ("not_a_concept" :: concepts);
+        for k = 1 to 12 do
+          let cs = sample rng concepts (1 + (k mod 3)) in
+          let label = name ^ ": {" ^ String.concat ", " cs ^ "}" in
+          Alcotest.(check (option string)) (label ^ " lub_unique")
+            (ref_lub_unique isa cs) (Lub.lub_unique dm cs);
+          Alcotest.check region (label ^ " of_concepts")
+            (of_region (ref_of_concepts dm ~isa ~trav cs))
+            (of_region (Region.of_concepts dm cs))
+        done;
+        let index =
+          List.fold_left
+            (fun i k ->
+              let context = if k mod 2 = 0 then sample rng concepts 1 else [] in
+              Index.add i
+                ~source:(Printf.sprintf "S%d" (k mod 3))
+                ~cm_class:(Printf.sprintf "c%d" k)
+                ~concept:(List.hd (sample rng concepts 1))
+                ~context ())
+            Index.empty (List.init 8 Fun.id)
+        in
+        let ps = List.combine (sample rng concepts 5) (sample rng concepts 5) in
+        Alcotest.check strings (name ^ ": sources_for_pairs")
+          (ref_sources_for_pairs ~isa ~trav index ps)
+          (Index.sources_for_pairs dm index ~pairs:ps);
+        let measure c = [ float_of_int (Hashtbl.hash c mod 7) ] in
+        List.iter
+          (fun root ->
+            Alcotest.(check bool)
+              (name ^ ": distribution from " ^ root)
+              true
+              (ref_distribution ~trav ~root ~measure
+              = Mediation.Aggregate.distribution dm ~root ~measure))
+          (sample rng concepts 3)
+      done)
+    (memo_maps ())
+
+(* A second call on the same map value reads the memo: it allocates a
+   small fraction of what the first call, which computes the closures,
+   does. The map is a value no earlier call has seen. *)
+let test_memo_second_call_is_cheap () =
+  let dm = Dmap.add_concept Neuro.Anatom.full "memo_probe" in
+  let locations = [ "dendrite"; "purkinje_cell"; "spine" ] in
+  let words () =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Region.of_concepts dm locations));
+    Gc.minor_words () -. w0
+  in
+  let first = words () in
+  let second = words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "second call %.0f words < first call %.0f / 10" second first)
+    true
+    (second < first /. 10.)
+
 let suites =
   [
     ( "dmap.structure",
@@ -394,6 +624,13 @@ let suites =
         Alcotest.test_case "basics" `Quick test_index_basics;
         Alcotest.test_case "source selection" `Quick test_index_source_selection;
         Alcotest.test_case "remove source" `Quick test_index_remove;
+      ] );
+    ( "dmap.memo",
+      [
+        Alcotest.test_case "memo = from-scratch reference" `Quick
+          test_memo_matches_reference;
+        Alcotest.test_case "second call reads the memo" `Quick
+          test_memo_second_call_is_cheap;
       ] );
     ( "dmap.region",
       [

@@ -369,6 +369,85 @@ let test_section5_ablation_lub () =
   in
   Alcotest.(check (float 1e-6)) "mass preserved" (mass with_lub) (mass without)
 
+(* The whole outcome on this fixture, for the full architecture and
+   each ablation, pinned at the values the plan has always returned:
+   a change to the domain-map closures or to the wrapper reads must not
+   move any of it. The distribution trees are pinned by an MD5 of their
+   rendering with masses to 6 decimals: the rows reach the sums in
+   hash-set order, so the last bits of a mass depend on what the
+   process interned before. *)
+let rec tree_repr (t : Aggregate.tree) =
+  Printf.sprintf "%s:%.6f:%.6f[%s]" t.Aggregate.concept t.Aggregate.own
+    t.Aggregate.total
+    (String.concat "," (List.map tree_repr t.Aggregate.children))
+
+let test_section5_pinned () =
+  let binders =
+    [ "calbindin"; "calmodulin"; "ip3_receptor"; "parvalbumin"; "ryanodine_receptor" ]
+  in
+  List.iter
+    (fun (variant, config, sources, root, tuples, size, digest) ->
+      let _, o = run_q5 ~config () in
+      let check_strings what = Alcotest.(check (list string)) (variant ^ ": " ^ what) in
+      check_strings "locations" [ "dendrite"; "purkinje_cell"; "spine" ]
+        o.Section5.locations;
+      check_strings "sources contacted" sources o.Section5.sources_contacted;
+      check_strings "proteins" binders o.Section5.proteins;
+      Alcotest.(check (option string)) (variant ^ ": root") (Some root) o.Section5.root;
+      Alcotest.(check int) (variant ^ ": tuples moved") tuples o.Section5.tuples_moved;
+      check_strings "distributions" binders (List.map fst o.Section5.distributions);
+      List.iter
+        (fun (p, t) ->
+          Alcotest.(check int) (variant ^ ": tree size " ^ p) size (Aggregate.size t))
+        o.Section5.distributions;
+      Alcotest.(check string) (variant ^ ": trees") digest
+        (Digest.to_hex
+           (Digest.string
+              (String.concat ";"
+                 (List.map (fun (p, t) -> p ^ "=" ^ tree_repr t) o.Section5.distributions)))))
+    [
+      ( "full", Mediator.default_config, [ "SENSELAB"; "NCMIR" ], "purkinje_cell",
+        83, 9, "b7b473c4a7d00d8a5b229e39597f24b3" );
+      ( "no index",
+        { Mediator.default_config with Mediator.use_semantic_index = false },
+        [ "SENSELAB"; "SYNAPSE"; "NCMIR" ], "purkinje_cell", 83, 9,
+        "b7b473c4a7d00d8a5b229e39597f24b3" );
+      ( "no pushdown",
+        { Mediator.default_config with Mediator.pushdown = false },
+        [ "SENSELAB"; "NCMIR" ], "purkinje_cell", 164, 9,
+        "b7b473c4a7d00d8a5b229e39597f24b3" );
+      ( "no lub",
+        { Mediator.default_config with Mediator.use_lub = false },
+        [ "SENSELAB"; "NCMIR" ], "nervous_system_part", 83, 16,
+        "42ea4d1b4bb90a2cf57eab50e564b3f3" );
+    ]
+
+(* The domain-map closures follow the mediator's map: after
+   [extend_dmap] adds memo_cell ⊑ purkinje_cell, the region over
+   {memo_cell, purkinje_cell} and the sources for (memo_cell, spine) —
+   NCMIR's spine data is anchored in the cerebellum, whose region now
+   holds memo_cell — change, although both were asked (and their
+   closures computed) on the map before. *)
+let test_closures_follow_extend_dmap () =
+  let med = fresh_mediator () in
+  let root () =
+    Option.map
+      (fun (r : Domain_map.Region.t) -> r.Domain_map.Region.root)
+      (Domain_map.Region.of_concepts (Mediator.dmap med)
+         [ "memo_cell"; "purkinje_cell" ])
+  in
+  let sources () = Mediator.select_sources_for_pairs med ~pairs:[ ("memo_cell", "spine") ] in
+  Alcotest.(check (option string)) "no region before" None (root ());
+  Alcotest.(check (list string)) "no source before" [] (sources ());
+  (match
+     Mediator.extend_dmap med
+       [ Dl.Concept.subsumes (Dl.Concept.name "memo_cell") (Dl.Concept.name "purkinje_cell") ]
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "extend_dmap: %s" e);
+  Alcotest.(check (option string)) "region after" (Some "purkinje_cell") (root ());
+  Alcotest.(check (list string)) "sources after" [ "NCMIR" ] (sources ())
+
 let test_section5_no_data () =
   let med = fresh_mediator () in
   match
@@ -662,6 +741,9 @@ let suites =
         Alcotest.test_case "ablation: index" `Quick test_section5_ablation_index;
         Alcotest.test_case "ablation: pushdown" `Quick test_section5_ablation_pushdown;
         Alcotest.test_case "ablation: lub" `Quick test_section5_ablation_lub;
+        Alcotest.test_case "pinned outcome" `Quick test_section5_pinned;
+        Alcotest.test_case "closures follow extend_dmap" `Quick
+          test_closures_follow_extend_dmap;
         Alcotest.test_case "no data" `Quick test_section5_no_data;
         Alcotest.test_case "example 4" `Quick test_example4_distribution;
       ] );

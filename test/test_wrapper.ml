@@ -171,6 +171,122 @@ let test_source_template () =
   | exception Source.Unsupported _ -> ()
   | _ -> Alcotest.fail "unknown template must be refused"
 
+(* Each placeholder is replaced as a whole token: [$loc] must not
+   rewrite the prefix of [$loc2], whatever order the arguments come in. *)
+let test_template_placeholder_prefix () =
+  let schema =
+    Gcm.Schema.make ~name:"OBS"
+      ~classes:
+        [ Gcm.Schema.class_def "obs" ~methods:[ ("loc", "thing"); ("loc2", "thing") ] ]
+      ()
+  in
+  let src =
+    Source.make ~name:"OBS" ~schema
+      ~capabilities:
+        [
+          Capability.template ~name:"at" ~params:[ "loc"; "loc2" ]
+            ~body:"X : obs, X[loc ->> $loc], X[loc2 ->> $loc2]";
+        ]
+      ~data:
+        [
+          Molecule.Isa (s "o1", s "obs");
+          Molecule.Meth_val (s "o1", "loc", s "spine");
+          Molecule.Meth_val (s "o1", "loc2", s "dendrite");
+        ]
+      ()
+  in
+  let loc = ("loc", s "spine") and loc2 = ("loc2", s "dendrite") in
+  Alcotest.(check int) "loc first" 1
+    (List.length (Source.run_template src ~name:"at" ~args:[ loc; loc2 ]));
+  Alcotest.(check int) "loc2 first" 1
+    (List.length (Source.run_template src ~name:"at" ~args:[ loc2; loc ]));
+  (* spliced text is never rescanned: an argument that prints like a
+     placeholder stays literal *)
+  Alcotest.(check string) "one pass" "a = $y, b = 2"
+    (Capability.instantiate "a = $x, b = $y" (function
+      | "x" -> Some "$y"
+      | "y" -> Some "2"
+      | _ -> None));
+  Alcotest.(check (list string)) "placeholders" [ "loc"; "loc2" ]
+    (Capability.placeholders "X[loc ->> $loc], X[loc2 ->> $loc2], $ alone, $loc")
+
+(* Store reads use the database's relation indexes; they must return
+   exactly what the one-literal engine query they replaced returned, in
+   the same order, on the Neuro labs and the distractors. *)
+let test_store_reads_match_engine () =
+  let module Engine = Datalog.Engine in
+  let isa_d = Flogic.Compile.declared Flogic.Compile.isa_p in
+  let meth_val_d = Flogic.Compile.declared Flogic.Compile.meth_val_p in
+  let v = Logic.Term.var in
+  let params = { Neuro.Sources.seed = 1; scale = 20 } in
+  let objs = Alcotest.(list (pair string (list (pair string string)))) in
+  let show (o : Store.obj) =
+    ( Logic.Term.to_string o.Store.id,
+      List.map (fun (m, t) -> (m, Logic.Term.to_string t)) o.Store.values )
+  in
+  List.iter
+    (fun src ->
+      let store = Source.store src in
+      let db = Store.database store in
+      let values_of id =
+        Engine.answers db (Logic.Atom.make meth_val_d [ id; v "M"; v "V" ])
+        |> List.filter_map (function
+             | [ _; m; t ] -> Option.map (fun m -> (m, t)) (Logic.Term.as_string m)
+             | _ -> None)
+      in
+      let members cls =
+        Engine.answers db (Logic.Atom.make isa_d [ v "X"; s cls ])
+        |> List.filter_map (function [ id; _ ] -> Some id | _ -> None)
+      in
+      let reference cls sels =
+        List.filter_map
+          (fun id ->
+            let values = values_of id in
+            let holds (m, op, rhs) =
+              List.exists
+                (fun (m', t) ->
+                  m = m' && Logic.Literal.eval_cmp op t rhs = Some true)
+                values
+            in
+            if List.for_all holds sels then Some { Store.id; values } else None)
+          (members cls)
+      in
+      let classes =
+        Engine.answers db (Logic.Atom.make isa_d [ v "X"; v "C" ])
+        |> List.filter_map (function
+             | [ _; c ] -> Logic.Term.as_string c
+             | _ -> None)
+        |> List.sort_uniq String.compare
+      in
+      let name = Source.name src in
+      Alcotest.(check (list string)) (name ^ ": classes") classes (Store.classes store);
+      List.iter
+        (fun cls ->
+          Alcotest.(check int) (name ^ ": object_count " ^ cls)
+            (List.length (members cls)) (Store.object_count store ~cls);
+          let all = reference cls [] in
+          Alcotest.check objs (name ^ ": " ^ cls) (List.map show all)
+            (List.map show (Store.instances store ~cls ~selections:[]));
+          (* selections drawn from the first object's values: an
+             equality, and an order comparison that keeps some objects *)
+          match all with
+          | [] -> ()
+          | first :: _ ->
+            List.iter
+              (fun (m, t) ->
+                List.iter
+                  (fun op ->
+                    let sels = [ (m, op, t) ] in
+                    Alcotest.check objs
+                      (Printf.sprintf "%s: %s where %s" name cls m)
+                      (List.map show (reference cls sels))
+                      (List.map show (Store.instances store ~cls ~selections:sels)))
+                  [ Logic.Literal.Eq; Logic.Literal.Ge ])
+              first.Store.values)
+        ("no_such_class" :: classes))
+    ([ Neuro.Sources.synapse params; Neuro.Sources.ncmir params; Neuro.Sources.senselab params ]
+    @ List.init 5 (fun i -> Neuro.Sources.distractor params ~index:(i + 1)))
+
 let test_source_export_xml () =
   let src = sample_source () in
   let doc = Source.export_xml src in
@@ -192,6 +308,8 @@ let suites =
       [
         Alcotest.test_case "instances" `Quick test_store_instances;
         Alcotest.test_case "tuples" `Quick test_store_tuples;
+        Alcotest.test_case "reads = engine answers" `Quick
+          test_store_reads_match_engine;
       ] );
     ( "wrapper.capability",
       [ Alcotest.test_case "checks" `Quick test_capability_checks ] );
@@ -201,6 +319,8 @@ let suites =
         Alcotest.test_case "selection pushdown" `Quick test_source_fetch_select;
         Alcotest.test_case "binding patterns" `Quick test_source_binding_pattern;
         Alcotest.test_case "templates" `Quick test_source_template;
+        Alcotest.test_case "placeholders are whole tokens" `Quick
+          test_template_placeholder_prefix;
         Alcotest.test_case "wire export" `Quick test_source_export_xml;
       ] );
   ]
